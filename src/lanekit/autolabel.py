@@ -9,6 +9,25 @@ along-track interval.  Detections are lifted by closed-form ray-plane
 intersection.  Tracks store a filtered lateral offset per fixed
 arclength station, so a line's world polyline is reconstructed from the
 trajectory geometry plus the filtered offsets.
+
+Lifting and locating cost grows linearly with the frame count, because
+each frame tests its rays and points only against a window of nearby
+segments, chosen so that the window changes no output:
+
+* Lifting keeps a hit only if it lies at most `near_range` ahead, so its
+  ray parameter t is at most R = max over rays of
+  (near_range - origin_y) / dir_y, in the vehicle frame.  Every point of
+  a segment's validity strip is at least the along-track gap between the
+  camera and the segment span away from the camera, so a segment whose
+  gap exceeds R holds no kept hit.  A ray whose nearest hit over all
+  segments lies beyond R is dropped with or without the window, so the
+  result is exact, also where the trajectory comes back near an old
+  segment.  A ray with dir_y <= 0 has no such bound, and its frame scans
+  every segment.
+* Locating points prunes segments with the triangle inequality
+  dist(p, seg) >= dist(c, seg) - |p - c| around the points' centroid c;
+  a pruned segment is strictly farther than the nearest one, so the
+  argmin and its lowest-index tie rule are unchanged.
 """
 
 from __future__ import annotations
@@ -20,6 +39,7 @@ import numpy as np
 from .temporal import EgoPose, apply_transform
 
 _PARALLEL_EPS = 1e-12
+_WINDOW_SLACK = 1e-6  # m; widens segment windows past floating-point rounding
 
 
 @dataclass(frozen=True)
@@ -61,13 +81,21 @@ class CameraModel:
         ext[:3, 3] = [0.0, 0.0, height_m]
         return cls(fx=fx, fy=fy, cx=cx, cy=cy, extrinsic=ext, width=width, height=image_height)
 
+    def pixel_rays(self, pixels) -> tuple[np.ndarray, np.ndarray]:
+        """Rays of (n, 2) pixels in vehicle coordinates: (origin (3,), unit directions (n, 3))."""
+        px = np.asarray(pixels, dtype=float).reshape(-1, 2)
+        dirs_cam = np.column_stack([
+            (px[:, 0] - self.cx) / self.fx,
+            (px[:, 1] - self.cy) / self.fy,
+            np.ones(px.shape[0]),
+        ])
+        dirs = dirs_cam @ self.extrinsic[:3, :3].T
+        return self.extrinsic[:3, 3], dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+
     def pixel_ray_vehicle(self, pixel) -> tuple[np.ndarray, np.ndarray]:
         """Ray (origin, unit direction) of a pixel, in vehicle coordinates."""
-        u, v = float(pixel[0]), float(pixel[1])
-        direction_cam = np.array([(u - self.cx) / self.fx, (v - self.cy) / self.fy, 1.0])
-        origin = self.extrinsic[:3, 3]
-        direction = self.extrinsic[:3, :3] @ direction_cam
-        return origin, direction / np.linalg.norm(direction)
+        origin, directions = self.pixel_rays([pixel])
+        return origin, directions[0]
 
     def project_vehicle_points(self, points_vehicle: np.ndarray, min_depth: float = 0.1):
         """Project vehicle-frame points to pixels; returns (pixels, in_front mask)."""
@@ -118,7 +146,16 @@ class SurfaceModel:
     in-plane frame (direction, lateral); `arclength[k]` is the
     along-track start of the segment.  Terminal segments extend their
     validity outward so near-range rays just past the trajectory ends
-    still intersect.
+    still intersect (`spans`).
+
+    Per-frame queries read a window of segments, not all of them:
+    `segments_within` keeps every segment whose validity strip can come
+    within a radius of a point, because the along-track gap between the
+    point and a segment's span is a lower bound on the distance to any
+    point of the strip; `locate` keeps every segment that the triangle
+    inequality cannot rule out as the nearest.  Both windows are
+    supersets of what the query can return, so results equal a scan
+    over all segments.
     """
 
     origins: np.ndarray      # (segments, 3) start positions
@@ -135,12 +172,38 @@ class SurfaceModel:
     def total_length(self) -> float:
         return float(self.arclength[-1])
 
-    def station_frame(self, arclength: float):
-        """(position, direction, lateral) of the surface point at an arclength."""
-        s = float(arclength)
-        k = int(np.clip(np.searchsorted(self.arclength, s, side="right") - 1, 0, self.segment_count - 1))
+    def spans(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) along-track validity of each segment: its own span,
+        open-ended before the first segment and after the last."""
+        lo = np.zeros(self.segment_count)
+        hi = self.lengths.copy()
+        lo[0] = -np.inf
+        hi[-1] = np.inf
+        return lo, hi
+
+    def station_frames(self, arclengths: np.ndarray):
+        """(positions, directions, laterals), each (n, 3), of the surface points at arclengths."""
+        s = np.asarray(arclengths, dtype=float)
+        k = np.clip(np.searchsorted(self.arclength, s, side="right") - 1, 0, self.segment_count - 1)
         t = s - self.arclength[k]
-        return self.origins[k] + t * self.directions[k], self.directions[k], self.laterals[k]
+        return self.origins[k] + t[:, None] * self.directions[k], self.directions[k], self.laterals[k]
+
+    def segments_within(self, point: np.ndarray, radius: float) -> np.ndarray:
+        """Sorted indices of the segments whose validity strip may lie within `radius` of `point`."""
+        lo, hi = self.spans()
+        along = np.einsum("kc,kc->k", point - self.origins, self.directions)
+        gap = np.maximum(lo - along, along - hi)
+        return np.flatnonzero(gap <= radius + _WINDOW_SLACK)
+
+    def _closest(self, pts: np.ndarray, segments: np.ndarray):
+        """Per point and segment: offset from the segment start, clamped
+        along-track parameter, and distance to the clamped span."""
+        origins, directions = self.origins[segments], self.directions[segments]
+        lo, hi = (b[segments] for b in self.spans())
+        rel = pts[:, None, :] - origins[None, :, :]
+        along = np.clip(np.einsum("pkc,kc->pk", rel, directions), lo[None, :], hi[None, :])
+        closest = origins[None, :, :] + along[:, :, None] * directions[None, :, :]
+        return rel, along, np.linalg.norm(pts[:, None, :] - closest, axis=2)
 
     def locate(self, points: np.ndarray):
         """Project world points onto the trajectory: (arclength, lateral offset) per point.
@@ -148,21 +211,24 @@ class SurfaceModel:
         Uses the along-track parameter of the nearest segment, clamped
         to the segment span except at the trajectory ends, which extend
         linearly so look-ahead points keep a faithful decomposition.
+        Only segments within 2 * (largest distance from the centroid)
+        of the centroid's nearest distance are compared.
         """
         pts = np.asarray(points, dtype=float)
-        rel = pts[:, None, :] - self.origins[None, :, :]
-        along = np.einsum("pkc,kc->pk", rel, self.directions)
-        lo = np.zeros(self.segment_count)
-        hi = self.lengths.copy()
-        lo[0] = -np.inf
-        hi[-1] = np.inf
-        along_clamped = np.clip(along, lo[None, :], hi[None, :])
-        closest = self.origins[None, :, :] + along_clamped[:, :, None] * self.directions[None, :, :]
-        dist = np.linalg.norm(pts[:, None, :] - closest, axis=2)
-        seg = np.argmin(dist, axis=1)
+        segments = np.arange(self.segment_count)
+        if pts.shape[0]:
+            center = pts.mean(axis=0)
+            radius = np.linalg.norm(pts - center, axis=1).max()
+            to_center = self._closest(center[None, :], segments)[2][0]
+            near = np.flatnonzero(to_center <= to_center.min() + 2.0 * radius + _WINDOW_SLACK)
+            if near.size:  # empty only for non-finite points
+                segments = near
+        rel, along, dist = self._closest(pts, segments)
+        nearest = np.argmin(dist, axis=1)
         idx = np.arange(pts.shape[0])
-        lam = self.arclength[seg] + along_clamped[idx, seg]
-        offset = np.einsum("pc,pc->p", rel[idx, seg], self.laterals[seg])
+        seg = segments[nearest]
+        lam = self.arclength[seg] + along[idx, nearest]
+        offset = np.einsum("pc,pc->p", rel[idx, nearest], self.laterals[seg])
         return lam, offset
 
 
@@ -194,31 +260,41 @@ def build_surface(traj: Trajectory) -> SurfaceModel:
                         normals=normals, lengths=lengths, arclength=arclength)
 
 
-def _intersect_rays(surf: SurfaceModel, origins: np.ndarray, directions: np.ndarray):
+def _world_rays(cam: CameraModel, pixels, pose: EgoPose):
+    """Camera center (1, 3) and unit ray directions (n, 3) in the world
+    frame, plus the directions in the vehicle frame."""
+    origin_v, dirs_v = cam.pixel_rays(pixels)
+    return apply_transform(pose.matrix, origin_v[None, :]), dirs_v @ pose.rotation.T, dirs_v
+
+
+def _intersect_rays(surf: SurfaceModel, origins: np.ndarray, directions: np.ndarray,
+                    segments=slice(None)):
     """Vectorized nearest valid ray-plane hit per ray; NaN rows where none exists.
 
-    Validity means the hit's along-track parameter falls inside the
-    segment span; the first and last segments extend outward.
+    Only `segments` (sorted indices; default all) are tested, and ties
+    go to the lowest index.  `origins` is (rays, 3) or one shared
+    (1, 3) origin.  Validity means the hit's along-track parameter falls
+    inside the segment span (`SurfaceModel.spans`).
     """
     o = np.atleast_2d(origins)
     d = np.atleast_2d(directions)
-    denom = np.einsum("kc,rc->rk", surf.normals, d)
-    rel = surf.origins[None, :, :] - o[:, None, :]
-    numer = np.einsum("rkc,kc->rk", rel, surf.normals)
+    seg_origins, seg_dirs, normals = surf.origins[segments], surf.directions[segments], surf.normals[segments]
+    if normals.shape[0] == 0:
+        return np.full(d.shape, np.nan)
+    lo, hi = (b[segments] for b in surf.spans())
+    denom = np.einsum("kc,rc->rk", normals, d)
+    rel = seg_origins[None, :, :] - o[:, None, :]
+    numer = np.einsum("rkc,kc->rk", rel, normals)
     with np.errstate(divide="ignore", invalid="ignore"):
         t_hit = numer / denom
     ok = (np.abs(denom) > _PARALLEL_EPS) & (t_hit > 1e-9)
     t_safe = np.where(np.isfinite(t_hit), t_hit, 0.0)
     hits = o[:, None, :] + t_safe[:, :, None] * d[:, None, :]
-    along = np.einsum("rkc,kc->rk", hits - surf.origins[None, :, :], surf.directions)
-    lo = np.zeros(surf.segment_count)
-    hi = surf.lengths.copy()
-    lo[0] = -np.inf
-    hi[-1] = np.inf
+    along = np.einsum("rkc,kc->rk", hits - seg_origins[None, :, :], seg_dirs)
     ok &= (along >= lo[None, :] - 1e-9) & (along <= hi[None, :] + 1e-9)
     t_valid = np.where(ok, t_hit, np.inf)
     best = np.argmin(t_valid, axis=1)
-    rows = np.arange(o.shape[0])
+    rows = np.arange(d.shape[0])
     out = hits[rows, best]
     out[~np.isfinite(t_valid[rows, best])] = np.nan
     return out
@@ -234,10 +310,8 @@ def ray_surface_intersect(cam: CameraModel, pixel, pose: EgoPose, surf: SurfaceM
     u, v = float(pixel[0]), float(pixel[1])
     if not (0 <= u <= cam.width and 0 <= v <= cam.height):
         raise ValueError(f"pixel ({u}, {v}) outside image bounds")
-    origin_v, direction_v = cam.pixel_ray_vehicle(pixel)
-    origin_w = apply_transform(pose.matrix, origin_v[None, :])[0]
-    direction_w = pose.rotation @ direction_v
-    hit = _intersect_rays(surf, origin_w[None, :], direction_w[None, :])[0]
+    origin_w, dirs_w, _ = _world_rays(cam, [(u, v)], pose)
+    hit = _intersect_rays(surf, origin_w, dirs_w)[0]
     return None if np.any(np.isnan(hit)) else hit
 
 
@@ -248,31 +322,26 @@ def lift_detections(detections, cam: CameraModel, pose: EgoPose, surf: SurfaceMo
     Each pixel is intersected with the surface; points farther ahead of
     the ego than `near_range` (vehicle-frame y) are discarded.  Returns
     (points (k, 3) in world frame, category) per detection; detections
-    whose points all fall out of range come back empty.
+    whose points all fall out of range come back empty.  All rays of the
+    call are tested together against the segments that a kept hit can
+    lie on (see the module docstring).
     """
-    inv_pose = pose.inverse_matrix()
-    lifted = []
-    for pixels, category in detections:
-        pixels = np.asarray(pixels, dtype=float)
-        if pixels.size == 0:
-            lifted.append((np.zeros((0, 3)), category))
-            continue
-        dirs_cam = np.column_stack([
-            (pixels[:, 0] - cam.cx) / cam.fx,
-            (pixels[:, 1] - cam.cy) / cam.fy,
-            np.ones(pixels.shape[0]),
-        ])
-        dirs_v = dirs_cam @ cam.extrinsic[:3, :3].T
-        dirs_v /= np.linalg.norm(dirs_v, axis=1, keepdims=True)
-        origins_w = np.tile(apply_transform(pose.matrix, cam.extrinsic[:3, 3][None, :]), (pixels.shape[0], 1))
-        dirs_w = dirs_v @ pose.rotation.T
-        hits = _intersect_rays(surf, origins_w, dirs_w)
-        good = ~np.isnan(hits).any(axis=1)
-        local = apply_transform(inv_pose, np.where(good[:, None], hits, 0.0))
-        good &= local[:, 1] <= near_range
-        good &= local[:, 1] > 0.0
-        lifted.append((hits[good], category))
-    return lifted
+    pixels = [np.asarray(px, dtype=float).reshape(-1, 2) for px, _ in detections]
+    counts = [len(px) for px in pixels]
+    if not sum(counts):
+        return [(np.zeros((0, 3)), category) for _, category in detections]
+    origin_w, dirs_w, dirs_v = _world_rays(cam, np.concatenate(pixels), pose)
+    dir_y = dirs_v[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = np.max(np.where(dir_y > 0, (near_range - cam.extrinsic[1, 3]) / dir_y, np.inf))
+    hits = _intersect_rays(surf, origin_w, dirs_w, surf.segments_within(origin_w[0], reach))
+    good = ~np.isnan(hits).any(axis=1)
+    local = apply_transform(pose.inverse_matrix(), np.where(good[:, None], hits, 0.0))
+    good &= local[:, 1] <= near_range
+    good &= local[:, 1] > 0.0
+    bounds = np.cumsum(counts)[:-1]
+    return [(h[g], category) for h, g, (_, category)
+            in zip(np.split(hits, bounds), np.split(good, bounds), detections)]
 
 
 @dataclass
@@ -386,11 +455,8 @@ class LineTracker:
     def track_polyline(self, track: Track) -> np.ndarray:
         """World polyline of a track, reconstructed at its observed stations."""
         observed = np.flatnonzero(track.observed())
-        points = np.empty((observed.size, 3))
-        for i, s in enumerate(observed):
-            pos, _, lateral = self.surf.station_frame(self.stations[s])
-            points[i] = pos + track.offsets[s] * lateral
-        return points
+        positions, _, laterals = self.surf.station_frames(self.stations[observed])
+        return positions + track.offsets[observed][:, None] * laterals
 
     def mature_tracks(self) -> list[Track]:
         return [t for t in self.tracks if t.hits >= self.min_hits]

@@ -107,6 +107,10 @@ def cmd_autolabel(args) -> int:
     traj = frames.read_trajectory(args.trajectory)
     cam = frames.read_camera(args.camera)
     det_frames, _ = frames.read_detections(args.detections)
+    for frame_id, _, _ in det_frames:
+        if type(frame_id) is not int or not 0 <= frame_id < len(traj):
+            raise SchemaError(f"detection frame_id {frame_id!r} is not a pose index of the "
+                              f"{len(traj)}-pose trajectory")
     surf = build_surface(traj)
     tracker = LineTracker(surf, station_spacing=station_spacing, gate=gate,
                           min_hits=min_hits, lead=label_range + 30.0)

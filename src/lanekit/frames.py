@@ -153,6 +153,8 @@ def read_detections(path):
     try:
         for r in records:
             dets = [(np.array(d["points"], dtype=float), d["category"]) for d in r["detections"]]
+            if not all(np.isfinite(points).all() for points, _ in dets):
+                raise ValueError(f"frame {r['frame_id']}: non-finite pixel coordinates")
             frames.append((r["frame_id"], r["timestamp_s"], dets))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed detection record: {exc}") from exc

@@ -5,6 +5,7 @@ from lanekit.autolabel import (
     CameraModel,
     LineTracker,
     Trajectory,
+    _intersect_rays,
     build_surface,
     emit_frame_labels,
     lift_detections,
@@ -351,3 +352,199 @@ class TestEmitLabels:
                                         np.round(world_b[:, 1], 9), return_indices=True)
         assert shared.size >= 10
         assert np.abs(world_a[ia] - world_b[ib]).max() < 1e-9
+
+
+def hairpin_trajectory(leg=60.0, step=2.0, gap=6.0, drop=0.0):
+    """Out along +y at x=0, a half-turn, back along -y at x=gap.
+
+    The return leg descends by `drop` per metre of arclength after the
+    turn, so with drop=0 the two legs share one plane and their hits tie.
+    """
+    radius = gap / 2.0
+    outbound = [(0.0, y, 0.0) for y in np.arange(0.0, leg, step)]
+    turn = [(radius + radius * np.cos(a), leg + radius * np.sin(a), 0.0)
+            for a in np.linspace(np.pi, 0.0, 7)[:-1]]
+    back = [(gap, y, 0.0) for y in np.arange(leg, -step / 2, -step)]
+    points = np.array(outbound + turn + back)
+    s = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(points, axis=0), axis=1))])
+    points[:, 2] = -drop * np.maximum(s - s[len(outbound) + len(turn)], 0.0)
+    poses = []
+    for k, p in enumerate(points):
+        nxt = points[min(k + 1, len(points) - 1)] - points[max(k - 1, 0)]
+        forward = nxt / np.linalg.norm(nxt)
+        right = np.cross(forward, [0, 0, 1.0])
+        right /= np.linalg.norm(right)
+        up = np.cross(right, forward)
+        poses.append(EgoPose.from_parts(np.column_stack([right, forward, up]), p))
+    return Trajectory(np.arange(len(points)) * 0.1, poses)
+
+
+def camera(kind):
+    """A level camera, one pitched 10 degrees down, or one that looks backwards
+    from 10 m ahead of the vehicle origin, so that every ray has dir_y < 0."""
+    level = CameraModel.level_camera()
+    ext = level.extrinsic.copy()
+    if kind == "pitched":
+        a = np.deg2rad(-10.0)
+        ext[:3, :3] = np.array([[1.0, 0.0, 0.0], [0.0, np.cos(a), -np.sin(a)],
+                                [0.0, np.sin(a), np.cos(a)]]) @ ext[:3, :3]
+    elif kind == "rear":
+        ext[:3, :3] = np.diag([-1.0, -1.0, 1.0]) @ ext[:3, :3]
+        ext[1, 3] = 10.0
+    return CameraModel(fx=level.fx, fy=level.fy, cx=level.cx, cy=level.cy, extrinsic=ext)
+
+
+def full_scan_intersect(surf, origins, directions):
+    """Oracle: every ray against every segment; nearest valid hit, lowest index on ties."""
+    denom = np.einsum("kc,rc->rk", surf.normals, directions)
+    rel = surf.origins[None, :, :] - origins[:, None, :]
+    numer = np.einsum("rkc,kc->rk", rel, surf.normals)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_hit = numer / denom
+    ok = (np.abs(denom) > 1e-12) & (t_hit > 1e-9)
+    t_safe = np.where(np.isfinite(t_hit), t_hit, 0.0)
+    hits = origins[:, None, :] + t_safe[:, :, None] * directions[:, None, :]
+    along = np.einsum("rkc,kc->rk", hits - surf.origins[None, :, :], surf.directions)
+    lo = np.zeros(surf.segment_count)
+    hi = surf.lengths.copy()
+    lo[0], hi[-1] = -np.inf, np.inf
+    ok &= (along >= lo[None, :] - 1e-9) & (along <= hi[None, :] + 1e-9)
+    t_valid = np.where(ok, t_hit, np.inf)
+    best = np.argmin(t_valid, axis=1)
+    rows = np.arange(origins.shape[0])
+    out = hits[rows, best]
+    out[~np.isfinite(t_valid[rows, best])] = np.nan
+    ties = (t_valid == t_valid[rows, best][:, None]) & np.isfinite(t_valid)
+    return out, ties.sum(axis=1)
+
+
+def full_scan_lift(detections, cam, pose, surf, near_range):
+    """Oracle: each detection on its own, its rays against every segment."""
+    lifted = []
+    for pixels, category in detections:
+        dirs_cam = np.column_stack([(pixels[:, 0] - cam.cx) / cam.fx, (pixels[:, 1] - cam.cy) / cam.fy,
+                                    np.ones(pixels.shape[0])])
+        dirs_v = dirs_cam @ cam.extrinsic[:3, :3].T
+        dirs_v /= np.linalg.norm(dirs_v, axis=1, keepdims=True)
+        origins = np.tile(apply_transform(pose.matrix, cam.extrinsic[:3, 3][None, :]), (pixels.shape[0], 1))
+        hits, _ = full_scan_intersect(surf, origins, dirs_v @ pose.rotation.T)
+        good = ~np.isnan(hits).any(axis=1)
+        local = apply_transform(pose.inverse_matrix(), np.where(good[:, None], hits, 0.0))
+        good &= (local[:, 1] <= near_range) & (local[:, 1] > 0.0)
+        lifted.append((hits[good], category))
+    return lifted
+
+
+def full_scan_locate(surf, points):
+    """Oracle: every point against every segment; nearest clamped span, lowest index on ties."""
+    rel = points[:, None, :] - surf.origins[None, :, :]
+    along = np.einsum("pkc,kc->pk", rel, surf.directions)
+    lo = np.zeros(surf.segment_count)
+    hi = surf.lengths.copy()
+    lo[0], hi[-1] = -np.inf, np.inf
+    along = np.clip(along, lo[None, :], hi[None, :])
+    closest = surf.origins[None, :, :] + along[:, :, None] * surf.directions[None, :, :]
+    dist = np.linalg.norm(points[:, None, :] - closest, axis=2)
+    seg = np.argmin(dist, axis=1)
+    idx = np.arange(points.shape[0])
+    lam = surf.arclength[seg] + along[idx, seg]
+    offset = np.einsum("pc,pc->p", rel[idx, seg], surf.laterals[seg])
+    ties = (dist == dist[idx, seg][:, None]).sum(axis=1)
+    return lam, offset, ties
+
+
+def pixel_grid(cam):
+    u, v = np.meshgrid(np.linspace(0.0, cam.width, 33), np.linspace(cam.cy - 40.0, cam.height, 41))
+    pixels = np.column_stack([u.ravel(), v.ravel()])
+    return [(pixels[:500], 1), (np.zeros((0, 2)), 2), (pixels[500:], 3)]
+
+
+class TestSegmentWindowExactness:
+    """Windowed lift and locate equal a scan over every segment."""
+
+    @pytest.mark.parametrize("drop", [0.0, 0.1])
+    @pytest.mark.parametrize("kind", ["level", "pitched", "rear"])
+    def test_lift_equals_full_scan_on_hairpin(self, drop, kind):
+        traj = hairpin_trajectory(drop=drop)
+        surf = build_surface(traj)
+        cam = camera(kind)
+        detections = pixel_grid(cam)
+        origin, dirs_v = cam.pixel_rays(np.concatenate([p for p, _ in detections]))
+        # a rear camera has no bound on t: its frames scan every segment
+        assert (dirs_v[:, 1] > 0).all() == (kind != "rear")
+        kept = tied = 0
+        for frame in (0, 10, 20, 28, 33, 40, 55, len(traj) - 1):
+            pose = traj.poses[frame]
+            got = lift_detections(detections, cam, pose, surf, near_range=25.0)
+            want = full_scan_lift(detections, cam, pose, surf, near_range=25.0)
+            assert [c for _, c in got] == [c for _, c in want]
+            for (g, _), (w, _) in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+                kept += len(g)
+            origins = np.tile(apply_transform(pose.matrix, origin[None, :]), (len(dirs_v), 1))
+            _, ties = full_scan_intersect(surf, origins, dirs_v @ pose.rotation.T)
+            tied += int((ties > 1).sum())
+        assert kept > 0
+        if drop == 0.0 and kind == "level":
+            assert tied > 0  # shared plane: the lowest-index rule decided some hits
+
+    def test_window_reaches_the_return_leg_only_nearby(self):
+        traj = hairpin_trajectory()
+        surf = build_surface(traj)
+        camera = traj.poses[20].position  # outbound, 40 m along, 6 m from the return leg
+        window = surf.segments_within(camera, 30.0)
+        assert 0 < window.size < surf.segment_count
+        returning = surf.directions[window, 1] < -0.5
+        assert returning.any()
+        assert (surf.directions[window, 1] > 0.5).any()
+
+    def test_intersect_window_matches_full_scan(self):
+        traj = hairpin_trajectory(drop=0.1)
+        surf = build_surface(traj)
+        cam = CameraModel.level_camera()
+        pose = traj.poses[25]
+        origin, dirs_v = cam.pixel_rays(np.concatenate([p for p, _ in pixel_grid(cam)]))
+        origin_w = apply_transform(pose.matrix, origin[None, :])
+        dirs_w = dirs_v @ pose.rotation.T
+        want, _ = full_scan_intersect(surf, np.repeat(origin_w, len(dirs_w), axis=0), dirs_w)
+        np.testing.assert_array_equal(_intersect_rays(surf, origin_w, dirs_w), want)
+        everything = np.arange(surf.segment_count)
+        np.testing.assert_array_equal(_intersect_rays(surf, origin_w, dirs_w, everything), want)
+        empty = _intersect_rays(surf, origin_w, dirs_w, np.array([], dtype=int))
+        assert np.isnan(empty).all()
+
+    @pytest.mark.parametrize("drop", [0.0, 0.1])
+    def test_locate_equals_full_scan_with_ties(self, drop):
+        traj = hairpin_trajectory(drop=drop)
+        surf = build_surface(traj)
+        rng = np.random.default_rng(5)
+        # midway between the legs every point ties between an outbound and a return segment
+        midway = np.column_stack([np.full(20, 3.0), np.arange(1.0, 41.0, 2.0), np.zeros(20)])
+        scattered = np.column_stack([rng.uniform(-5, 11, 200), rng.uniform(-10, 70, 200),
+                                     rng.uniform(-3, 1, 200)])
+        for points in (midway, scattered, midway[:1], scattered[:0], np.vstack([midway, scattered])):
+            lam, offset = surf.locate(points)
+            want_lam, want_offset, ties = full_scan_locate(surf, points)
+            np.testing.assert_array_equal(lam, want_lam)
+            np.testing.assert_array_equal(offset, want_offset)
+            if points is midway and drop == 0.0:
+                assert (ties > 1).all()
+
+    def test_track_polyline_equals_station_loop(self):
+        traj = hairpin_trajectory(drop=0.1)
+        surf = build_surface(traj)
+        tracker = LineTracker(surf, min_hits=1)
+        cam = CameraModel.level_camera()
+        for frame in range(0, len(traj), 3):
+            tracker.step(lift_detections(pixel_grid(cam), cam, traj.poses[frame], surf))
+        assert tracker.tracks
+        for track in tracker.tracks:
+            observed = np.flatnonzero(track.observed())
+            want = np.empty((observed.size, 3))
+            for i, station in enumerate(observed):
+                s = float(tracker.stations[station])
+                k = int(np.clip(np.searchsorted(surf.arclength, s, side="right") - 1, 0,
+                                surf.segment_count - 1))
+                position = surf.origins[k] + (s - surf.arclength[k]) * surf.directions[k]
+                want[i] = position + track.offsets[station] * surf.laterals[k]
+            np.testing.assert_array_equal(tracker.track_polyline(track), want)

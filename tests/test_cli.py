@@ -3,7 +3,7 @@ import json
 import pytest
 
 from lanekit.cli import main
-from lanekit.frames import read_lane_frames
+from lanekit.frames import read_detections, read_lane_frames, write_detections
 
 
 def run_synth(tmp_path, prefix="scene", frames=30, extra=()):
@@ -90,6 +90,24 @@ class TestAutolabelCommand:
             "--out", str(tmp_path / "labels.jsonl"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("frame_id", [30, 99, -1])
+    def test_frame_id_without_pose_rejected(self, tmp_path, capsys, frame_id):
+        run_synth(tmp_path)  # 30 poses
+        dets_path = tmp_path / "scene.detections.jsonl"
+        dets, _ = read_detections(dets_path)
+        dets[-1] = (frame_id, *dets[-1][1:])
+        write_detections(dets_path, dets)
+        code = main([
+            "autolabel",
+            "--trajectory", str(tmp_path / "scene.trajectory.json"),
+            "--camera", str(tmp_path / "scene.camera.json"),
+            "--detections", str(dets_path),
+            "--out", str(tmp_path / "labels.jsonl"),
+        ])
+        assert code == 2
+        assert "frame_id" in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "labels.jsonl").exists()
 
 
 class TestMasksCommand:

@@ -87,6 +87,13 @@ class TestDetections:
         assert frames[0][2][0][1] == 2
         assert frames[1][2] == []
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_pixels_rejected(self, tmp_path, bad):
+        path = tmp_path / "dets.jsonl"
+        write_detections(path, [(0, 0.0, [(np.array([[480.0, 600.0], [481.0, bad]]), 2)])])
+        with pytest.raises(SchemaError, match="non-finite"):
+            read_detections(path)
+
 
 class TestTrajectoryCamera:
     def test_trajectory_round_trip(self, tmp_path):
