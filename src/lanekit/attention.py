@@ -1,11 +1,17 @@
-"""Lane-structured attention masking and a minimal masked forward pass.
+"""Lane-structured attention: key index lists and a gather-based forward pass.
 
 Queries are lane points on an (n_lanes, m_points) grid, flattened as
-lane * m + point.  Three boolean masks restrict which keys each query
+lane * m + point.  Three selection rules restrict which keys each query
 may attend to: points on its own lane, the two nearest points on every
 neighboring lane in the direction orthogonal to the local tangent, and
 the nearest entries of the propagated memory.  Together they leave only
 a small fraction of the full attention matrix active.
+
+Each rule is built once, as a fixed-degree (queries, degree) index
+array (`same_line_index`, `neighbor_line_index`, `memory_index`), and
+the layer attends over the gathered keys.  The boolean masks
+(`same_line_mask`, `neighbor_line_mask`, `memory_mask`) are dense views
+of those index lists, for reports and dense reference checks.
 """
 
 from __future__ import annotations
@@ -17,23 +23,49 @@ import numpy as np
 from .splines import basis_matrix
 
 
-def same_line_mask(n_lanes: int, m_points: int) -> np.ndarray:
-    """Boolean (n*m, n*m) mask: query and key belong to the same lane."""
+# Upper bound on the elements of one per-chunk temporary (256 KB of float64):
+# the neighbour and memory builders and the gathered attention work over
+# query chunks of this size, so no (queries x keys) array is ever built and
+# the temporaries stay small enough to be reused from cache.
+_CHUNK_ELEMENTS = 1 << 15
+
+
+def _query_chunks(n_queries: int, per_query: int):
+    """Query slices of _CHUNK_ELEMENTS // per_query rows each (at least one)."""
+    step = max(1, _CHUNK_ELEMENTS // max(per_query, 1))
+    return (slice(lo, lo + step) for lo in range(0, n_queries, step))
+
+
+def index_to_mask(index: np.ndarray, n_keys: int) -> np.ndarray:
+    """Dense boolean (queries, n_keys) view of a (queries, degree) key index list."""
+    mask = np.zeros((index.shape[0], n_keys), dtype=bool)
+    np.put_along_axis(mask, index, True, axis=1)
+    return mask
+
+
+def same_line_index(n_lanes: int, m_points: int) -> np.ndarray:
+    """(n*m, m) key indices: every point of the query's own lane."""
     if n_lanes < 1 or m_points < 1:
         raise ValueError("lane and point counts must be >= 1")
     lane = np.repeat(np.arange(n_lanes), m_points)
-    return lane[:, None] == lane[None, :]
+    return lane[:, None] * m_points + np.arange(m_points)
 
 
-def neighbor_line_mask(points: np.ndarray) -> np.ndarray:
-    """Boolean (n*m, n*m) mask selecting, per query, the 2 points of every
-    other lane closest to the query's orthogonal line.
+def same_line_mask(n_lanes: int, m_points: int) -> np.ndarray:
+    """Boolean (n*m, n*m) mask: query and key belong to the same lane."""
+    return index_to_mask(same_line_index(n_lanes, m_points), n_lanes * m_points)
+
+
+def neighbor_line_index(points: np.ndarray) -> np.ndarray:
+    """(n*m, 2(n-1)) key indices: per query, the 2 points of every other
+    lane closest to the query's orthogonal line.
 
     The orthogonal line runs through the query point perpendicular to
     the local x-y tangent, so a candidate's distance to it is the
     magnitude of its offset along the tangent direction.  Degenerate
     tangents fall back to the longitudinal axis.  Ties keep the lower
-    point index.
+    point index.  Rows list the other lanes in ascending order, each
+    lane's two points nearest first.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 3 or points.shape[2] < 2:
@@ -44,44 +76,76 @@ def neighbor_line_mask(points: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(tangents, axis=2, keepdims=True)
     tangents = np.where(norms > 1e-12, tangents / np.maximum(norms, 1e-12), [0.0, 1.0])
 
-    mask = np.zeros((n * m, n * m), dtype=bool)
-    for i in range(n):
-        for j in range(m):
-            q = points[i, j, :2]
-            t = tangents[i, j]
-            row = i * m + j
-            for other in range(n):
-                if other == i:
-                    continue
-                along = np.abs((points[other, :, :2] - q) @ t)
-                nearest = np.argsort(along, kind="stable")[:2]
-                mask[row, other * m + nearest] = True
-    return mask
+    xy = points[:, :, :2].reshape(n * m, 2)
+    xy_t = np.ascontiguousarray(xy.T)
+    tangents = tangents.reshape(n * m, 1, 2)
+    lane_start = np.arange(n)[:, None] * m
+    other_lane = np.repeat(np.arange(n), m)[:, None] != np.arange(n)
+    index = np.empty((n * m, 2 * (n - 1)), dtype=np.intp)
+    for rows in _query_chunks(n * m, 2 * n * m):
+        # (chunk, 1, 2) @ (chunk, 2, n*m) gives each query's tangent offsets
+        # with the same products and sums as (lane_points - q) @ t per lane.
+        offsets = xy_t - xy[rows, :, None]
+        along = np.abs(tangents[rows] @ offsets).reshape(-1, n, m)
+        nearest = np.argsort(along, axis=2, kind="stable")[:, :, :2] + lane_start
+        index[rows] = nearest[other_lane[rows]].reshape(index[rows].shape)
+    return index
 
 
-def memory_mask(query_points: np.ndarray, memory_points: np.ndarray,
-                k_nearest: int = 10) -> np.ndarray:
-    """Boolean (queries, memory) mask: the k_nearest memory entries by 3D distance.
+def neighbor_line_mask(points: np.ndarray) -> np.ndarray:
+    """Boolean (n*m, n*m) mask of `neighbor_line_index`."""
+    index = neighbor_line_index(points)
+    return index_to_mask(index, index.shape[0])
+
+
+def memory_index(query_points: np.ndarray, memory_points: np.ndarray,
+                 k_nearest: int = 10) -> np.ndarray:
+    """(queries, min(k, memory)) memory indices: the k_nearest entries by 3D distance.
 
     Memory geometry must already be propagated into the query frame.
-    Ties keep the lower memory index; an empty memory yields all-false
-    rows and the attention contribution is skipped downstream.
+    Ties keep the lower memory index.  With more than k entries each row
+    lists its k nearest first; otherwise every row lists the whole memory
+    in index order, so an empty memory yields degree 0 and the attention
+    contribution is skipped downstream.
     """
+    if k_nearest < 0:
+        raise ValueError(f"k_nearest must be >= 0, got {k_nearest}")
     query_points = np.asarray(query_points, dtype=float).reshape(-1, np.asarray(query_points).shape[-1])
     memory_points = np.asarray(memory_points, dtype=float)
     n_q = query_points.shape[0]
     n_k = memory_points.shape[0]
-    mask = np.zeros((n_q, n_k), dtype=bool)
-    if n_k == 0:
-        return mask
-    if n_k <= k_nearest:
-        mask[:] = True
-        return mask
-    diff = query_points[:, None, :3] - memory_points[None, :, :3]
-    dist = np.linalg.norm(diff, axis=2)
-    nearest = np.argsort(dist, axis=1, kind="stable")[:, :k_nearest]
-    np.put_along_axis(mask, nearest, True, axis=1)
-    return mask
+    degree = min(k_nearest, n_k)
+    if degree in (0, n_k):
+        return np.broadcast_to(np.arange(degree), (n_q, degree))
+    queries = np.ascontiguousarray(query_points[:, :3].T)
+    memory = np.ascontiguousarray(memory_points[:, :3].T)
+    index = np.empty((n_q, degree), dtype=np.intp)
+    for rows in _query_chunks(n_q, n_k):
+        # Summed per coordinate in x, y, z order: the same arithmetic as
+        # np.linalg.norm over the last axis, without a (rows, n_k, 3) array.
+        dist = np.zeros((queries[0, rows].size, n_k))
+        for axis in range(3):
+            gap = np.subtract.outer(queries[axis, rows], memory[axis])
+            gap *= gap
+            dist += gap
+        np.sqrt(dist, out=dist)
+        dist[np.isnan(dist)] = np.inf  # NaN compares false; this keeps >= k candidates per row
+        kth = np.partition(dist, degree - 1, axis=1)[:, degree - 1:degree]
+        # Every entry within the k-th distance is a candidate; ordering the
+        # candidates by (row, distance, index) and keeping each row's first
+        # k lets the lower index win a tie at the k-th distance.
+        row, col = np.nonzero(dist <= kth)
+        order = np.lexsort((col, dist[row, col], row))
+        starts = np.searchsorted(row, np.arange(dist.shape[0]))
+        index[rows] = col[order[starts[:, None] + np.arange(degree)]]
+    return index
+
+
+def memory_mask(query_points: np.ndarray, memory_points: np.ndarray,
+                k_nearest: int = 10) -> np.ndarray:
+    """Boolean (queries, memory) mask of `memory_index`."""
+    return index_to_mask(memory_index(query_points, memory_points, k_nearest),
+                         np.shape(memory_points)[0])
 
 
 @dataclass(frozen=True)
@@ -195,24 +259,79 @@ def sparsity_ratio(same_line: np.ndarray, neighbor: np.ndarray,
     return active / total if total else 0.0
 
 
+def _softmax(scores: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis."""
+    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
+def gather_attention(queries: np.ndarray, keys: np.ndarray, values: np.ndarray,
+                     index: np.ndarray, heads: int = 1) -> np.ndarray:
+    """Scaled dot-product attention of each query over its keys[index[query]].
+
+    The same result as `masked_attention` with `index_to_mask(index,
+    len(keys))`, computed on the gathered keys only.  A degree of 0 gives
+    zeros.
+    """
+    queries = np.asarray(queries, dtype=float)
+    keys = np.asarray(keys, dtype=float)
+    values = np.asarray(values, dtype=float)
+    index = np.asarray(index, dtype=np.intp)
+    r, c = queries.shape
+    if keys.shape != values.shape or keys.shape[1] != c:
+        raise ValueError("queries, keys, and values must share the channel dimension")
+    if index.ndim != 2 or index.shape[0] != r:
+        raise ValueError(f"index shape {index.shape} does not match {r} queries")
+    if c % heads != 0:
+        raise ValueError(f"channels {c} not divisible by {heads} heads")
+    degree = index.shape[1]
+    head_dim = c // heads
+    out = np.zeros_like(queries)
+    if degree == 0:
+        return out
+
+    def per_head(x, rows):  # (rows, heads, degree, head_dim)
+        return x[index[rows]].reshape(-1, degree, heads, head_dim).transpose(0, 2, 1, 3)
+
+    for rows in _query_chunks(r, 2 * degree * c):
+        k = per_head(keys, rows)
+        v = k if values is keys else per_head(values, rows)
+        q = queries[rows].reshape(-1, heads, head_dim, 1) / np.sqrt(head_dim)
+        weights = _softmax((k @ q)[..., 0])
+        out[rows] = (weights[:, :, None, :] @ v).reshape(-1, c)
+    return out
+
+
+def _same_line_attention(q: np.ndarray, n: int, m: int, heads: int) -> np.ndarray:
+    """Self-attention within each lane, as one (n, heads, m, m) batched product."""
+    c = q.shape[1]
+    head_dim = c // heads
+    qh = q.reshape(n, m, heads, head_dim).transpose(0, 2, 1, 3)
+    weights = _softmax(qh @ qh.transpose(0, 1, 3, 2) / np.sqrt(head_dim))
+    return (weights @ qh).transpose(0, 2, 1, 3).reshape(n * m, c)
+
+
 def spatio_temporal_layer(embeddings: np.ndarray, points: np.ndarray,
                           memory_embeddings: np.ndarray, memory_points: np.ndarray,
                           enc: EncodingConfig, heads: int = 1,
                           k_nearest: int = 10) -> np.ndarray:
     """One structured attention layer: same-line, neighbor, then memory attention.
 
-    Each stage is masked attention with a residual add on the
+    Each stage attends over its index list (`same_line_index`,
+    `neighbor_line_index`, `memory_index`) with a residual add on the
     position-informed queries; output shape equals the (n, m, channels)
-    input embedding shape.
+    input embedding shape.  No (queries x keys) array is built.
     """
     embeddings = np.asarray(embeddings, dtype=float)
     points = np.asarray(points, dtype=float)
     n, m, channels = embeddings.shape
+    if channels % heads != 0:
+        raise ValueError(f"channels {channels} not divisible by {heads} heads")
     flat_points = points.reshape(n * m, 4)
     q = embeddings.reshape(n * m, channels) + positional_encoding(flat_points, enc)
 
-    q = q + masked_attention(q, q, q, same_line_mask(n, m), heads=heads)
-    q = q + masked_attention(q, q, q, neighbor_line_mask(points), heads=heads)
+    q = q + _same_line_attention(q, n, m, heads)
+    q = q + gather_attention(q, q, q, neighbor_line_index(points), heads=heads)
 
     memory_points = np.asarray(memory_points, dtype=float).reshape(-1, 4)
     memory_embeddings = np.asarray(memory_embeddings, dtype=float).reshape(-1, channels) \
@@ -221,6 +340,6 @@ def spatio_temporal_layer(embeddings: np.ndarray, points: np.ndarray,
         mem_keys = memory_embeddings + positional_encoding(memory_points, enc)
     else:
         mem_keys = memory_embeddings
-    mem = memory_mask(flat_points, memory_points, k_nearest=k_nearest)
-    q = q + masked_attention(q, mem_keys, mem_keys, mem, heads=heads)
+    mem = memory_index(flat_points, memory_points, k_nearest=k_nearest)
+    q = q + gather_attention(q, mem_keys, mem_keys, mem, heads=heads)
     return q.reshape(n, m, channels)

@@ -358,6 +358,11 @@ def _propagate_state_grid(state: EmaState, pose: EgoPose):
     return x, z, v, valid
 
 
+def _blend(valid, alpha: float, current, prior):
+    """alpha * current + (1 - alpha) * prior where the prior is valid, else current."""
+    return np.where(valid, alpha * current + (1 - alpha) * prior, current)
+
+
 def ema_update(state, cur_x, cur_z, cur_v, pose: EgoPose, y_grid=None,
                alpha: float = 0.5) -> EmaState:
     """Blend the current prediction into the propagated moving average.
@@ -379,9 +384,9 @@ def ema_update(state, cur_x, cur_z, cur_v, pose: EgoPose, y_grid=None,
         raise ValueError("current prediction must align with the tracked lanes")
     px, pz, pv, valid = _propagate_state_grid(state, pose)
     a = state.alpha
-    new_x = np.where(valid, a * cur_x + (1 - a) * px, cur_x)
-    new_z = np.where(valid, a * cur_z + (1 - a) * pz, cur_z)
-    new_v = np.where(valid, a * cur_v + (1 - a) * pv, cur_v)
+    new_x = _blend(valid, a, cur_x, px)
+    new_z = _blend(valid, a, cur_z, pz)
+    new_v = _blend(valid, a, cur_v, pv)
     return replace(state, x=new_x, z=new_z, v=np.clip(new_v, 0.0, 1.0), pose=pose)
 
 
@@ -436,14 +441,12 @@ class EmaTracker:
 
         px, pz, pv, valid = _propagate_state_grid(self.state, pose)
         n_trk = px.shape[0]
+        # Mean (x, z) gap over each track's valid grid points; a track with
+        # no valid point is at infinite distance from every lane.
+        gap = np.hypot(px[:, None] - cur_x[None], pz[:, None] - cur_z[None])
+        covered = valid.sum(axis=1)[:, None]
         dist = np.full((n_trk, n_cur), np.inf)
-        for t in range(n_trk):
-            for c in range(n_cur):
-                ok = valid[t]
-                if not ok.any():
-                    continue
-                d = np.hypot(px[t, ok] - cur_x[c, ok], pz[t, ok] - cur_z[c, ok])
-                dist[t, c] = d.mean()
+        np.divide(np.where(valid[:, None], gap, 0.0).sum(axis=2), covered, out=dist, where=covered > 0)
         finite = np.where(np.isfinite(dist), dist, self.gate * 1e6)
         rows, cols = linear_sum_assignment(finite)
         pairs = [(t, c) for t, c in zip(rows, cols) if dist[t, c] <= self.gate]
@@ -459,9 +462,9 @@ class EmaTracker:
         matched_tracks = {t for t, _ in pairs}
         matched_cur = {c for _, c in pairs}
         for t, c in pairs:
-            new_x.append(np.where(valid[t], a * cur_x[c] + (1 - a) * px[t], cur_x[c]))
-            new_z.append(np.where(valid[t], a * cur_z[c] + (1 - a) * pz[t], cur_z[c]))
-            new_v.append(np.where(valid[t], a * cur_v[c] + (1 - a) * pv[t], cur_v[c]))
+            new_x.append(_blend(valid[t], a, cur_x[c], px[t]))
+            new_z.append(_blend(valid[t], a, cur_z[c], pz[t]))
+            new_v.append(_blend(valid[t], a, cur_v[c], pv[t]))
             new_ids.append(self.state.lane_ids[t])
         for t in range(n_trk):
             if t not in matched_tracks and valid[t].any():

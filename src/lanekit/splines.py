@@ -11,6 +11,7 @@ between a precomputed basis matrix and the control-point matrix.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,7 +112,12 @@ def _segment_weights(local: np.ndarray, order: int, m: int) -> np.ndarray:
     return (arg @ SEGMENT_COEFFS) * scale
 
 
-_BASIS_CACHE: dict[tuple, BasisMatrix] = {}
+# Least-recently-used cache of built matrices.  Repeated grids (the dense
+# sampling grid, a fixed moving-average grid) hit; one-off sample sets, such
+# as the y positions of each fitted polyline, pass through without growing
+# the cache past this many entries.
+_BASIS_CACHE_SIZE = 128
+_BASIS_CACHE: OrderedDict[tuple, BasisMatrix] = OrderedDict()
 _BASIS_LOCK = threading.Lock()
 
 
@@ -134,6 +140,8 @@ def basis_matrix(m: int, sample_args, order: int = 0, endpoint_policy: str = "re
     key = (m, order, endpoint_policy, s.tobytes())
     with _BASIS_LOCK:
         cached = _BASIS_CACHE.get(key)
+        if cached is not None:
+            _BASIS_CACHE.move_to_end(key)
     if cached is not None:
         return cached
 
@@ -162,7 +170,10 @@ def basis_matrix(m: int, sample_args, order: int = 0, endpoint_policy: str = "re
     s.flags.writeable = False
     basis = BasisMatrix(matrix=rows, order=order, sample_args=s)
     with _BASIS_LOCK:
-        _BASIS_CACHE[key] = basis
+        basis = _BASIS_CACHE.setdefault(key, basis)  # a concurrent build may have won
+        _BASIS_CACHE.move_to_end(key)
+        while len(_BASIS_CACHE) > _BASIS_CACHE_SIZE:
+            _BASIS_CACHE.popitem(last=False)
     return basis
 
 

@@ -1,17 +1,25 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from lanekit.attention import (
     EncodingConfig,
+    gather_attention,
+    index_to_mask,
     masked_attention,
+    memory_index,
     memory_mask,
+    neighbor_line_index,
     neighbor_line_mask,
     positional_encoding,
+    same_line_index,
     same_line_mask,
     scale_to_range,
     sparsity_ratio,
     spatio_temporal_layer,
 )
+from lanekit.splines import basis_matrix
 
 
 def straight_lanes(offsets, m, y_start=0.0, y_end=100.0):
@@ -38,6 +46,144 @@ def dense_softmax_reference(q, k, v, mask):
         e[~np.isfinite(row)] = 0.0
         out[r] = (e / e.sum()) @ v
     return out
+
+
+def loop_neighbor_mask(points):
+    """The per-query, per-lane argsort loop the index builder replaced."""
+    n, m = points.shape[:2]
+    tangents = np.einsum("sm,nmc->nsc", basis_matrix(m, np.linspace(0, 1, m), order=1).matrix,
+                         points[:, :, :2])
+    norms = np.linalg.norm(tangents, axis=2, keepdims=True)
+    tangents = np.where(norms > 1e-12, tangents / np.maximum(norms, 1e-12), [0.0, 1.0])
+    mask = np.zeros((n * m, n * m), dtype=bool)
+    for i in range(n):
+        for j in range(m):
+            for other in range(n):
+                if other == i:
+                    continue
+                along = np.abs((points[other, :, :2] - points[i, j, :2]) @ tangents[i, j])
+                mask[i * m + j, other * m + np.argsort(along, kind="stable")[:2]] = True
+    return mask
+
+
+def sorted_memory_mask(query_points, memory_points, k_nearest):
+    """Full stable sort of every distance row, as before the index builder."""
+    mask = np.zeros((len(query_points), len(memory_points)), dtype=bool)
+    if len(memory_points) <= k_nearest:
+        mask[:] = True
+        return mask
+    dist = np.linalg.norm(query_points[:, None, :3] - memory_points[None, :, :3], axis=2)
+    np.put_along_axis(mask, np.argsort(dist, axis=1, kind="stable")[:, :k_nearest], True, axis=1)
+    return mask
+
+
+def dense_layer(embeddings, points, memory_embeddings, memory_points, enc, heads, k_nearest):
+    """The layer as dense masked attention over (queries x keys) boolean masks."""
+    n, m, channels = embeddings.shape
+    flat_points = points.reshape(n * m, 4)
+    q = embeddings.reshape(n * m, channels) + positional_encoding(flat_points, enc)
+    lane = np.repeat(np.arange(n), m)
+    q = q + masked_attention(q, q, q, lane[:, None] == lane[None, :], heads=heads)
+    q = q + masked_attention(q, q, q, loop_neighbor_mask(points), heads=heads)
+    mem_keys = memory_embeddings + positional_encoding(memory_points, enc) \
+        if len(memory_points) else np.zeros((0, channels))
+    mem = sorted_memory_mask(flat_points, memory_points, k_nearest)
+    q = q + masked_attention(q, mem_keys, mem_keys, mem, heads=heads)
+    return q.reshape(n, m, channels)
+
+
+def curved_lanes(n, m, rng, spacing=3.5):
+    y = np.linspace(3.0, 103.0, m)
+    pts = np.zeros((n, m, 4))
+    pts[:, :, 0] = spacing * (np.arange(n)[:, None] - n / 2) + 1e-3 * (y - 40.0) ** 2 \
+        + rng.normal(0.0, 0.2, (n, m))
+    pts[:, :, 1] = y + rng.normal(0.0, 0.5, (n, m))
+    pts[:, :, 2] = rng.normal(0.0, 0.1, (n, m))
+    pts[:, :, 3] = rng.uniform(size=(n, m))
+    return pts
+
+
+def neighbor_cases():
+    rng = np.random.default_rng(31)
+    curved = curved_lanes(6, 9, rng)
+    duplicated = curved_lanes(4, 8, rng)
+    duplicated[2] = duplicated[1]               # a whole lane repeated: tied queries
+    duplicated[3, 4:] = duplicated[3, 3]        # repeated points: tied candidates
+    duplicated[0, 2] = duplicated[0, 5]
+    degenerate = straight_lanes([-3.5, 0.0, 3.5], m=5)
+    degenerate[1, :, :2] = [0.5, 40.0]          # zero tangent on every point of lane 1
+    grid = straight_lanes(3.5 * np.arange(5), m=6)  # straight lanes: exact ties in |dy|
+    return {"curved": curved, "duplicated": duplicated, "degenerate": degenerate,
+            "grid": grid, "single_lane": curved[:1]}
+
+
+class TestIndexBuilders:
+    @pytest.mark.parametrize("case", sorted(neighbor_cases()))
+    def test_neighbor_index_equals_loop(self, case):
+        pts = neighbor_cases()[case]
+        n, m = pts.shape[:2]
+        index = neighbor_line_index(pts)
+        assert index.shape == (n * m, 2 * (n - 1))
+        dense = index_to_mask(index, n * m)
+        assert (dense.sum(axis=1) == 2 * (n - 1)).all()  # no repeated keys in a row
+        assert np.array_equal(dense, loop_neighbor_mask(pts))
+        assert np.array_equal(neighbor_line_mask(pts), dense)
+
+    def test_neighbor_index_chunk_boundaries(self, monkeypatch):
+        import lanekit.attention as attention
+
+        pts = neighbor_cases()["curved"]
+        whole = neighbor_line_index(pts)
+        monkeypatch.setattr(attention, "_CHUNK_ELEMENTS", 7 * 2 * pts.shape[0] * pts.shape[1])
+        assert np.array_equal(neighbor_line_index(pts), whole)
+
+    def test_same_line_index(self):
+        index = same_line_index(3, 4)
+        assert index.shape == (12, 4)
+        assert index[5].tolist() == [4, 5, 6, 7]
+        assert np.array_equal(index_to_mask(index, 12), same_line_mask(3, 4))
+
+    @pytest.mark.parametrize("entries, k", [(150, 10), (150, 1), (10, 10), (4, 10), (0, 10), (150, 0)])
+    def test_memory_index_equals_sort(self, entries, k):
+        rng = np.random.default_rng(32)
+        queries = curved_lanes(5, 8, rng).reshape(-1, 4)
+        memory = rng.uniform(-20, 110, (entries, 4))
+        index = memory_index(queries, memory, k_nearest=k)
+        assert index.shape == (40, min(k, entries))
+        assert np.array_equal(index_to_mask(index, entries), sorted_memory_mask(queries, memory, k))
+
+    def test_memory_index_ties_keep_lower_index(self, monkeypatch):
+        import lanekit.attention as attention
+
+        rng = np.random.default_rng(33)
+        base = np.round(rng.uniform(-5, 5, (30, 4)))
+        memory = np.concatenate([base, base[::-1], base])  # every distance occurs 3+ times
+        queries = np.round(rng.uniform(-5, 5, (50, 4)))
+        expected = sorted_memory_mask(queries, memory, 7)
+        assert np.array_equal(memory_mask(queries, memory, k_nearest=7), expected)
+        monkeypatch.setattr(attention, "_CHUNK_ELEMENTS", 3 * len(memory))
+        assert np.array_equal(memory_mask(queries, memory, k_nearest=7), expected)
+
+    def test_memory_index_nan_query_takes_lowest_indices(self):
+        rng = np.random.default_rng(35)
+        queries = rng.uniform(-20, 20, (6, 4))
+        queries[2, 1] = np.nan
+        memory = rng.uniform(-20, 20, (40, 4))
+        index = memory_index(queries, memory, k_nearest=5)
+        assert index[2].tolist() == [0, 1, 2, 3, 4]
+        assert np.array_equal(index_to_mask(index, 40), sorted_memory_mask(queries, memory, 5))
+
+    def test_memory_index_rows_nearest_first(self):
+        rng = np.random.default_rng(34)
+        queries = rng.uniform(-20, 20, (20, 4))
+        memory = rng.uniform(-20, 20, (80, 4))
+        index = memory_index(queries, memory, k_nearest=6)
+        dist = np.linalg.norm(memory[index][:, :, :3] - queries[:, None, :3], axis=2)
+        assert (np.diff(dist, axis=1) >= 0).all()
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError):
+            memory_index(np.zeros((2, 4)), np.zeros((5, 4)), k_nearest=-1)
 
 
 class TestSameLineMask:
@@ -257,6 +403,40 @@ class TestMaskedAttention:
             masked_attention(q, q[:2], q, np.ones((4, 4), dtype=bool))
 
 
+class TestGatherAttention:
+    @pytest.mark.parametrize("degree, heads", [(1, 1), (5, 1), (12, 2), (30, 4)])
+    def test_matches_dense_reference(self, degree, heads):
+        rng = np.random.default_rng(40 + degree)
+        q = rng.normal(size=(25, 16))
+        k = rng.normal(size=(30, 16))
+        v = rng.normal(size=(30, 16))
+        index = np.argsort(rng.uniform(size=(25, 30)), axis=1)[:, :degree]
+        mask = index_to_mask(index, 30)
+        got = gather_attention(q, k, v, index, heads=heads)
+        np.testing.assert_allclose(got, masked_attention(q, k, v, mask, heads=heads), rtol=0, atol=1e-12)
+        if heads == 1:
+            np.testing.assert_allclose(got, dense_softmax_reference(q, k, v, mask), rtol=0, atol=1e-12)
+
+    def test_degree_zero_rows_are_zero(self):
+        rng = np.random.default_rng(45)
+        q = rng.normal(size=(6, 8))
+        index = np.zeros((6, 0), dtype=int)
+        got = gather_attention(q, q, q, index, heads=2)
+        np.testing.assert_array_equal(got, np.zeros((6, 8)))
+        np.testing.assert_array_equal(got, dense_softmax_reference(q, q, q, index_to_mask(index, 6)))
+        empty = np.zeros((0, 8))
+        np.testing.assert_array_equal(gather_attention(q, empty, empty, index), np.zeros((6, 8)))
+
+    def test_shape_errors(self):
+        q = np.zeros((4, 8))
+        with pytest.raises(ValueError):
+            gather_attention(q, q, q, np.zeros((3, 2), dtype=int))
+        with pytest.raises(ValueError):
+            gather_attention(q, q, q, np.zeros((4, 2), dtype=int), heads=3)
+        with pytest.raises(ValueError):
+            gather_attention(q, q[:, :4], q[:, :4], np.zeros((4, 2), dtype=int))
+
+
 class TestScaleToRange:
     def test_zero_maps_to_midpoint(self):
         assert scale_to_range(0.0, -10.0, 10.0) == pytest.approx(0.0, abs=1e-12)
@@ -310,3 +490,40 @@ class TestLayer:
         out2 = spatio_temporal_layer(emb, pts, mem_emb, mem_pts, enc, heads=2, k_nearest=4)
         assert out2.shape == (n, m, c)
         assert not np.allclose(out, out2)
+
+    @pytest.mark.parametrize("n, m, entries, heads, k", [
+        (5, 8, 120, 2, 10),    # memory larger than k
+        (4, 6, 6, 4, 10),      # memory no larger than k
+        (3, 5, 0, 1, 10),      # empty memory
+        (1, 7, 30, 2, 4),      # a single lane: no neighbour keys
+    ])
+    def test_matches_dense_layer(self, n, m, entries, heads, k):
+        rng = np.random.default_rng(50 + n)
+        c = 16
+        enc = EncodingConfig(dim=c)
+        pts = curved_lanes(n, m, rng)
+        emb = rng.normal(size=(n, m, c))
+        mem_pts = rng.uniform(-10, 110, (entries, 4))
+        mem_emb = rng.normal(size=(entries, c))
+        got = spatio_temporal_layer(emb, pts, mem_emb, mem_pts, enc, heads=heads, k_nearest=k)
+        ref = dense_layer(emb, pts, mem_emb, mem_pts, enc, heads, k)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10)
+
+    def test_large_layer_builds_no_dense_array(self):
+        # 200 lanes x 40 points is 8000 queries: one dense float score
+        # matrix alone would be 8000^2 * 8 B = 512 MB.
+        rng = np.random.default_rng(60)
+        n, m, c = 200, 40, 16
+        pts = curved_lanes(n, m, rng)
+        emb = rng.normal(size=(n, m, c))
+        mem_pts = rng.uniform(-400, 400, (1200, 4))
+        mem_emb = rng.normal(size=(1200, c))
+        tracemalloc.start()
+        try:
+            out = spatio_temporal_layer(emb, pts, mem_emb, mem_pts, EncodingConfig(dim=c), heads=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n, m, c)
+        assert np.isfinite(out).all()
+        assert peak < 200 * 2**20

@@ -127,6 +127,12 @@ class TestMasksCommand:
         assert report["memory_entries"] == 600
         assert report["active_fraction"] <= 0.15
 
+    def test_negative_k_nearest_rejected(self, capsys):
+        code = main(["masks", "--lanes", "3", "--points", "5", "--history", "1", "--keep", "2",
+                     "--k-nearest", "-2"])
+        assert code == 2
+        assert "k_nearest" in json.loads(capsys.readouterr().err)["error"]
+
 
 class TestSplineCommand:
     def test_fit_and_resample(self, tmp_path, capsys):

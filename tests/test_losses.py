@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from lanekit.losses import (
+    _propagate_state_grid,
+    EmaState,
     EmaTracker,
     GtLane,
     LossBreakdown,
@@ -394,6 +397,81 @@ class TestEmaTracker:
             wobble = x + rng.normal(0, 0.3, size=x.shape)
             noisy_total += for_noisy.step(wobble, z, v, pose)
         assert noisy_total > clean_total
+
+
+def loop_tracker_step(tracker, cur_x, cur_z, cur_v, pose):
+    """EmaTracker.step with the per-(track, lane) distance loop and inline blends."""
+    n_cur = cur_x.shape[0]
+    if tracker.state is None or tracker.state.lane_count == 0:
+        ids = np.arange(tracker._next_id, tracker._next_id + n_cur)
+        tracker._next_id += n_cur
+        tracker.state = EmaState(y_grid=tracker.y_grid, x=cur_x.copy(), z=cur_z.copy(),
+                                 v=cur_v.copy(), pose=pose, alpha=tracker.alpha, lane_ids=ids)
+        return 0.0
+    px, pz, pv, valid = _propagate_state_grid(tracker.state, pose)
+    n_trk = px.shape[0]
+    dist = np.full((n_trk, n_cur), np.inf)
+    for t in range(n_trk):
+        for c in range(n_cur):
+            ok = valid[t]
+            if not ok.any():
+                continue
+            dist[t, c] = np.hypot(px[t, ok] - cur_x[c, ok], pz[t, ok] - cur_z[c, ok]).mean()
+    rows, cols = linear_sum_assignment(np.where(np.isfinite(dist), dist, tracker.gate * 1e6))
+    pairs = [(t, c) for t, c in zip(rows, cols) if dist[t, c] <= tracker.gate]
+    loss = 0.0
+    for t, c in pairs:
+        gap = np.abs(cur_x[c] - px[t]) + np.abs(cur_z[c] - pz[t])
+        loss += float(np.mean(np.where(valid[t], pv[t], 0.0) * gap))
+    loss = loss / n_cur if n_cur else 0.0
+    a = tracker.alpha
+    new_x, new_z, new_v, new_ids = [], [], [], []
+    for t, c in pairs:
+        new_x.append(np.where(valid[t], a * cur_x[c] + (1 - a) * px[t], cur_x[c]))
+        new_z.append(np.where(valid[t], a * cur_z[c] + (1 - a) * pz[t], cur_z[c]))
+        new_v.append(np.where(valid[t], a * cur_v[c] + (1 - a) * pv[t], cur_v[c]))
+        new_ids.append(tracker.state.lane_ids[t])
+    for t in range(n_trk):
+        if t not in {t for t, _ in pairs} and valid[t].any():
+            new_x.append(px[t])
+            new_z.append(pz[t])
+            new_v.append(np.where(valid[t], pv[t], 0.0))
+            new_ids.append(tracker.state.lane_ids[t])
+    for c in range(n_cur):
+        if c not in {c for _, c in pairs}:
+            new_x.append(cur_x[c].copy())
+            new_z.append(cur_z[c].copy())
+            new_v.append(cur_v[c].copy())
+            new_ids.append(tracker._next_id)
+            tracker._next_id += 1
+    tracker.state = EmaState(y_grid=tracker.y_grid, x=np.array(new_x), z=np.array(new_z),
+                             v=np.clip(np.array(new_v), 0.0, 1.0), pose=pose,
+                             alpha=tracker.alpha, lane_ids=np.array(new_ids))
+    return loss
+
+
+class TestEmaTrackerMatchesLoop:
+    GRID = np.linspace(0.0, 100.0, 26)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_pairs_and_losses(self, seed):
+        rng = np.random.default_rng(seed)
+        fast, loop = EmaTracker(self.GRID, 0.5, gate=0.8), EmaTracker(self.GRID, 0.5, gate=0.8)
+        offsets = 3.5 * np.arange(-3, 4)
+        for f in range(25):
+            # lanes come and go, jitter around the gate, and the ego jumps
+            # far enough now and then that old tracks lose all valid points
+            lanes = np.sort(rng.choice(offsets, size=rng.integers(1, 6), replace=False))
+            y = 3.0 * f + (150.0 if f % 9 == 8 else 0.0)
+            pose = EgoPose.from_parts(np.eye(3), [0.2 * np.sin(f), y, 0.0])
+            x = lanes[:, None] + rng.normal(0.0, 0.4, (len(lanes), self.GRID.size))
+            z = rng.normal(0.0, 0.05, x.shape)
+            v = rng.uniform(size=x.shape)
+            got, expected = fast.step(x, z, v, pose), loop_tracker_step(loop, x, z, v, pose)
+            assert got == pytest.approx(expected, rel=0, abs=1e-12)
+            assert np.array_equal(fast.state.lane_ids, loop.state.lane_ids)
+            for field in ("x", "z", "v"):
+                np.testing.assert_array_equal(getattr(fast.state, field), getattr(loop.state, field))
 
 
 class TestProposalOrderingInvariance:

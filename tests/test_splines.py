@@ -88,6 +88,20 @@ class TestBasis:
         args = np.linspace(0.0, 1.0, 33)
         assert basis_matrix(7, args) is basis_matrix(7, args)
 
+    def test_cache_stays_bounded_and_keeps_recent_entries(self):
+        import lanekit.splines as splines
+
+        size = splines._BASIS_CACHE_SIZE
+        kept = np.linspace(0.0, 1.0, 17)
+        first = basis_matrix(6, kept)
+        expected = basis_matrix(6, [0.0]).matrix.copy()
+        for i in range(3 * size):
+            basis_matrix(6, [i / (3 * size)])
+            if i % (size // 2) == 0:
+                assert basis_matrix(6, kept) is first  # in use, so never evicted
+            assert len(splines._BASIS_CACHE) <= size
+        assert np.array_equal(basis_matrix(6, [0.0]).matrix, expected)  # rebuilt after eviction
+
     def _fd_samples(self, m, h, rng, count=200):
         # central differences straddling a knot see the C1 seam, so keep
         # samples clear of segment boundaries by a few steps
