@@ -417,7 +417,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, FileNotFoundError, ValueError) as exc:
+    except (SchemaError, OSError, ValueError) as exc:
         return _fail(str(exc))
 
 

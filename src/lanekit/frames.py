@@ -54,13 +54,19 @@ def _dump(obj) -> str:
 def _camera_to_dict(cam: CameraModel) -> dict:
     return {
         "fx": cam.fx, "fy": cam.fy, "cx": cam.cx, "cy": cam.cy,
+        "width": cam.width, "height": cam.height,
         "extrinsic": np.asarray(cam.extrinsic).ravel().tolist(),
     }
 
 
 def _camera_from_dict(d: dict) -> CameraModel:
+    # files written before the image size was stored take the model's defaults
+    size = {key: d[key] for key in ("width", "height") if key in d}
+    for key, value in size.items():
+        if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+            raise SchemaError(f"camera {key} must be a positive int, got {value!r}")
     return CameraModel(fx=d["fx"], fy=d["fy"], cx=d["cx"], cy=d["cy"],
-                       extrinsic=np.array(d["extrinsic"], dtype=float).reshape(4, 4))
+                       extrinsic=np.array(d["extrinsic"], dtype=float).reshape(4, 4), **size)
 
 
 def _frame_to_dict(frame: LaneFrame) -> dict:

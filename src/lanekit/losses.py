@@ -6,6 +6,10 @@ basis), binary cross-entropy for visibility, focal classification loss,
 spatial regularization (parallelism, height smoothness, curvature
 hinge), and the temporal-consistency loss against an exponentially
 moving average of past predictions carried along with the ego motion.
+
+Proposals are sampled at a target's y positions through one basis,
+built once per target and call; the assignment costs every proposal
+against a target in one (samples, m) @ (proposals, m, 4) product.
 """
 
 from __future__ import annotations
@@ -35,21 +39,19 @@ class GtLane:
             raise ValueError("target lane points must be an (n, 4) array")
 
 
-def _eval_pred_at(control_points: np.ndarray, args: np.ndarray, cfg: CurveConfig) -> np.ndarray:
-    basis = basis_matrix(cfg.m, args, order=0)
-    return basis.matrix @ np.asarray(control_points, dtype=float)
+def _basis_at_y(y, cfg: CurveConfig) -> np.ndarray:
+    """Order-0 basis rows at longitudinal positions y, shape (samples, m)."""
+    return basis_matrix(cfg.m, arg_for_y(y, cfg), order=0).matrix
 
 
-def _geometry_cost(control_points, gt: GtLane, cfg: CurveConfig) -> float:
-    """Mean L1 (x, z) distance over the target's visible points."""
-    args = arg_for_y(gt.points[:, 1], cfg)
-    pred = _eval_pred_at(control_points, args, cfg)
-    vis = gt.points[:, 3]
-    l1 = np.abs(pred[:, 0] - gt.points[:, 0]) + np.abs(pred[:, 2] - gt.points[:, 2])
-    total = vis.sum()
-    if total <= 0:
-        return 0.0
-    return float((vis * l1).sum() / total)
+def _visible_l1(pred: np.ndarray, gt: GtLane):
+    """Visibility-weighted L1 (x, z) gap summed over the target's points.
+
+    `pred` is one proposal's samples (samples, 4) or a stack of them
+    (proposals, samples, 4); the result has one value per proposal.
+    """
+    l1 = np.abs(pred[..., 0] - gt.points[:, 0]) + np.abs(pred[..., 2] - gt.points[:, 2])
+    return (gt.points[:, 3] * l1).sum(axis=-1)
 
 
 def assign_proposals(pred_points, class_probs, gts, cfg: CurveConfig,
@@ -70,9 +72,10 @@ def assign_proposals(pred_points, class_probs, gts, cfg: CurveConfig,
         return []
     cost = np.zeros((len(gts), n))
     for g, gt in enumerate(gts):
-        for p in range(n):
-            cost[g, p] = _geometry_cost(pred_points[p], gt, cfg)
-            cost[g, p] += class_weight * (1.0 - class_probs[p, gt.category])
+        samples = _basis_at_y(gt.points[:, 1], cfg) @ pred_points
+        total = gt.points[:, 3].sum()
+        geometry = 0.0 if total <= 0 else _visible_l1(samples, gt) / total
+        cost[g] = geometry + class_weight * (1.0 - class_probs[:, gt.category])
     rows, cols = linear_sum_assignment(cost)
     return sorted(zip(rows.tolist(), cols.tolist()))
 
@@ -106,11 +109,7 @@ def regression_loss(pred_points, gts, matching, cfg: CurveConfig) -> float:
     total = 0.0
     for g, p in matching:
         gt = gts[g]
-        args = arg_for_y(gt.points[:, 1], cfg)
-        pred = _eval_pred_at(pred_points[p], args, cfg)
-        vis = gt.points[:, 3]
-        l1 = np.abs(pred[:, 0] - gt.points[:, 0]) + np.abs(pred[:, 2] - gt.points[:, 2])
-        total += float((vis * l1).sum())
+        total += float(_visible_l1(_basis_at_y(gt.points[:, 1], cfg) @ pred_points[p], gt))
     return total / n
 
 
@@ -128,12 +127,11 @@ def regression_loss_grad(pred_points, gts, matching, cfg: CurveConfig) -> np.nda
         return grad
     for g, p in matching:
         gt = gts[g]
-        args = arg_for_y(gt.points[:, 1], cfg)
-        basis = basis_matrix(cfg.m, args, order=0)
-        pred = basis.matrix @ pred_points[p]
+        basis = _basis_at_y(gt.points[:, 1], cfg)
+        pred = basis @ pred_points[p]
         vis = gt.points[:, 3]
-        grad[p, :, 0] += basis.matrix.T @ (vis * np.sign(pred[:, 0] - gt.points[:, 0]))
-        grad[p, :, 1] += basis.matrix.T @ (vis * np.sign(pred[:, 2] - gt.points[:, 2]))
+        grad[p, :, 0] += basis.T @ (vis * np.sign(pred[:, 0] - gt.points[:, 0]))
+        grad[p, :, 1] += basis.T @ (vis * np.sign(pred[:, 2] - gt.points[:, 2]))
     return grad / n
 
 
@@ -145,8 +143,7 @@ def visibility_loss(pred_points, gts, matching, cfg: CurveConfig, eps: float = P
     total = 0.0
     for g, p in matching:
         gt = gts[g]
-        args = arg_for_y(gt.points[:, 1], cfg)
-        pred_v = np.clip(_eval_pred_at(pred_points[p], args, cfg)[:, 3], eps, 1.0 - eps)
+        pred_v = np.clip((_basis_at_y(gt.points[:, 1], cfg) @ pred_points[p])[:, 3], eps, 1.0 - eps)
         v_hat = gt.points[:, 3]
         total += float(-(v_hat * np.log(pred_v) + (1.0 - v_hat) * np.log(1.0 - pred_v)).sum())
     return total / len(matching)
@@ -325,9 +322,7 @@ class EmaState:
 def resample_curves_on_grid(pred_points, cfg: CurveConfig, y_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample predicted curves at the arguments of a y grid; returns (x, z, v) arrays."""
     pred_points = np.asarray(pred_points, dtype=float)
-    args = arg_for_y(np.asarray(y_grid, dtype=float), cfg)
-    b0 = basis_matrix(cfg.m, args, order=0).matrix
-    sampled = np.einsum("sm,nmc->nsc", b0, pred_points)
+    sampled = np.einsum("sm,nmc->nsc", _basis_at_y(y_grid, cfg), pred_points)
     return sampled[:, :, 0], sampled[:, :, 2], np.clip(sampled[:, :, 3], 0.0, 1.0)
 
 

@@ -123,7 +123,6 @@ def match_lanes(pred_lanes, gt_lanes, cfg: MatchConfig) -> FrameMatch:
             details[(gi, pi)] = (np.abs(px[both] - gx[both]), np.abs(pz[both] - gz[both]), grid[both])
 
     rows, cols = linear_sum_assignment(cost)
-    matched_preds = set()
     for gi, pi in zip(rows, cols):
         if cost[gi, pi] >= _INADMISSIBLE:
             continue
@@ -135,7 +134,6 @@ def match_lanes(pred_lanes, gt_lanes, cfg: MatchConfig) -> FrameMatch:
             pred_index=pred[pi][0], gt_index=gts[gi][0],
             abs_dx=abs_dx, abs_dz=abs_dz, grid_y=ys, iou=iou,
         ))
-        matched_preds.add(pi)
     result.tp = len(result.pairs)
     result.fp = n_pred - result.tp
     result.fn = n_gt - result.tp

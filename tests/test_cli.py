@@ -57,6 +57,16 @@ class TestEvalCommand:
         assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--pred", "{dir}", "--gt", "{dir}"],
+    ["masks", "--config", "{dir}"],
+])
+def test_directory_path_fails_cleanly(tmp_path, capsys, argv):
+    code = main([arg.format(dir=tmp_path) for arg in argv])
+    assert code == 2
+    assert "error" in json.loads(capsys.readouterr().err)
+
+
 class TestAutolabelCommand:
     def test_pipeline_runs_and_labels_match_gt(self, tmp_path, capsys):
         out = run_synth(tmp_path, frames=60)

@@ -107,8 +107,21 @@ class TestTrajectoryCamera:
 
     def test_camera_round_trip(self, tmp_path):
         path = tmp_path / "cam.json"
-        cam = CameraModel.level_camera(height_m=1.4, fx=900.0)
+        cam = CameraModel.level_camera(height_m=1.4, fx=900.0, width=1920, image_height=1080)
         write_camera(path, cam)
         loaded = read_camera(path)
         assert loaded.fx == 900.0
+        assert (loaded.width, loaded.height) == (1920, 1080)
         np.testing.assert_allclose(loaded.extrinsic, cam.extrinsic)
+
+        # files without the image size still load, with the default size
+        doc = json.loads(path.read_text())
+        del doc["width"], doc["height"]
+        path.write_text(json.dumps(doc))
+        loaded = read_camera(path)
+        assert (loaded.width, loaded.height) == (960, 720)
+
+        for bad in (0, -1080, 1080.0, "1080", True, None):
+            path.write_text(json.dumps({**doc, "height": bad}))
+            with pytest.raises(SchemaError, match="height"):
+                read_camera(path)

@@ -69,9 +69,11 @@ class TestAssignment:
 
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(9)
-        for _ in range(10):
+        for trial in range(10):
             controls = np.stack([straight_lane(CFG, x) for x in rng.uniform(-10, 10, 5)])
             gts = [gt_from_control(straight_lane(CFG, x), CFG) for x in rng.uniform(-10, 10, 5)]
+            if trial % 2:
+                gts[trial % 5].points[:, 3] = 0.0  # an all-invisible target costs class only
             probs = rng.uniform(0.05, 1.0, (5, 3))
             probs /= probs.sum(axis=1, keepdims=True)
 
@@ -79,8 +81,9 @@ class TestAssignment:
                 gt = gts[g]
                 pred = basis_matrix(CFG.m, arg_for_y(gt.points[:, 1], CFG)).matrix @ controls[p]
                 l1 = np.abs(pred[:, 0] - gt.points[:, 0]) + np.abs(pred[:, 2] - gt.points[:, 2])
-                return (gt.points[:, 3] * l1).sum() / gt.points[:, 3].sum() \
-                    + (1.0 - probs[p, gt.category])
+                vis = gt.points[:, 3]
+                geometry = (vis * l1).sum() / vis.sum() if vis.sum() > 0 else 0.0
+                return geometry + (1.0 - probs[p, gt.category])
 
             best = min(
                 (sum(pair_cost(g, perm[g]) for g in range(5)) for perm in
@@ -103,6 +106,122 @@ class TestAssignment:
         targets = classification_targets(matching, gts, 2, n_classes=2)
         assert targets[matching[0][1]] == 1
         assert set(targets) == {1, 2}  # background index == n_classes
+
+
+def pair_eval_pred_at(control_points, args, cfg):
+    return basis_matrix(cfg.m, args, order=0).matrix @ np.asarray(control_points, dtype=float)
+
+
+def pair_geometry_cost(control_points, gt, cfg):
+    """Mean L1 (x, z) distance over the target's visible points, one pair at a time."""
+    args = arg_for_y(gt.points[:, 1], cfg)
+    pred = pair_eval_pred_at(control_points, args, cfg)
+    vis = gt.points[:, 3]
+    l1 = np.abs(pred[:, 0] - gt.points[:, 0]) + np.abs(pred[:, 2] - gt.points[:, 2])
+    total = vis.sum()
+    if total <= 0:
+        return 0.0
+    return float((vis * l1).sum() / total)
+
+
+def pair_cost_matrix(pred_points, class_probs, gts, cfg, class_weight):
+    cost = np.zeros((len(gts), pred_points.shape[0]))
+    for g, gt in enumerate(gts):
+        for p in range(pred_points.shape[0]):
+            cost[g, p] = pair_geometry_cost(pred_points[p], gt, cfg)
+            cost[g, p] += class_weight * (1.0 - class_probs[p, gt.category])
+    return cost
+
+
+def pair_regression_loss(pred_points, gts, matching, cfg):
+    total = 0.0
+    for g, p in matching:
+        gt = gts[g]
+        pred = pair_eval_pred_at(pred_points[p], arg_for_y(gt.points[:, 1], cfg), cfg)
+        l1 = np.abs(pred[:, 0] - gt.points[:, 0]) + np.abs(pred[:, 2] - gt.points[:, 2])
+        total += float((gt.points[:, 3] * l1).sum())
+    return total / pred_points.shape[0]
+
+
+def pair_regression_grad(pred_points, gts, matching, cfg):
+    grad = np.zeros((pred_points.shape[0], cfg.m, 2))
+    for g, p in matching:
+        gt = gts[g]
+        basis = basis_matrix(cfg.m, arg_for_y(gt.points[:, 1], cfg), order=0)
+        pred = basis.matrix @ pred_points[p]
+        vis = gt.points[:, 3]
+        grad[p, :, 0] += basis.matrix.T @ (vis * np.sign(pred[:, 0] - gt.points[:, 0]))
+        grad[p, :, 1] += basis.matrix.T @ (vis * np.sign(pred[:, 2] - gt.points[:, 2]))
+    return grad / pred_points.shape[0]
+
+
+def pair_visibility_loss(pred_points, gts, matching, cfg, eps=1e-7):
+    total = 0.0
+    for g, p in matching:
+        gt = gts[g]
+        args = arg_for_y(gt.points[:, 1], cfg)
+        pred_v = np.clip(pair_eval_pred_at(pred_points[p], args, cfg)[:, 3], eps, 1.0 - eps)
+        v_hat = gt.points[:, 3]
+        total += float(-(v_hat * np.log(pred_v) + (1.0 - v_hat) * np.log(1.0 - pred_v)).sum())
+    return total / len(matching)
+
+
+def detector_instance(rng, cfg, n_proposals=20, n_targets=4, n_classes=4):
+    """Perturbed proposals around partly visible targets, one of them all invisible."""
+    controls = np.stack([
+        control_points_from_columns(cfg, x=3.5 * lane + rng.normal(0.0, 0.5, cfg.m),
+                                    z=rng.normal(0.0, 0.2, cfg.m), v=np.ones(cfg.m))
+        for lane in range(n_targets)])
+    gts = []
+    for control in controls:
+        y = np.sort(rng.uniform(cfg.y_start, cfg.y_end, rng.integers(10, 60)))
+        pts = basis_matrix(cfg.m, arg_for_y(y, cfg)).matrix @ control
+        pts[:, 1] = y
+        pts[:, 3] = rng.random(y.size) < 0.7
+        gts.append(GtLane(points=pts, category=int(rng.integers(1, n_classes))))
+    gts[rng.integers(n_targets)].points[:, 3] = 0.0
+    proposals = controls[np.arange(n_proposals) % n_targets].copy()
+    proposals[:, :, 0] += rng.normal(0.0, 0.3, (n_proposals, 1))
+    proposals[:, :, 2] += rng.normal(0.0, 0.02, (n_proposals, cfg.m))
+    proposals[:, :, 3] = rng.uniform(0.05, 0.95, (n_proposals, cfg.m))
+    class_probs = rng.dirichlet(np.ones(n_classes + 1), size=n_proposals)
+    return proposals, class_probs, gts
+
+
+class TestOneProductMatchesPairwise:
+    """The batched target sampling reproduces the per-pair formulas bit for bit."""
+
+    CFG = CurveConfig(m=20, y_start=3.0, y_end=103.0)
+
+    @pytest.mark.parametrize("class_weight", [0.0, 1.0])
+    @pytest.mark.parametrize("seed", [7, 1009])
+    def test_cost_matrix_pairs_and_losses(self, monkeypatch, seed, class_weight):
+        rng = np.random.default_rng(seed)
+        costs = []
+
+        def recording_assignment(cost):
+            costs.append(cost.copy())
+            return linear_sum_assignment(cost)
+
+        monkeypatch.setattr("lanekit.losses.linear_sum_assignment", recording_assignment)
+        for _ in range(5):
+            proposals, probs, gts = detector_instance(rng, self.CFG)
+            expected_cost = pair_cost_matrix(proposals, probs, gts, self.CFG, class_weight)
+            rows, cols = linear_sum_assignment(expected_cost)
+            expected = sorted(zip(rows.tolist(), cols.tolist()))
+
+            matching = assign_proposals(proposals, probs, gts, self.CFG, class_weight=class_weight)
+            np.testing.assert_array_equal(costs[-1], expected_cost)
+            assert matching == expected
+
+            breakdown = combined_loss(proposals, probs, gts, self.CFG, class_weight=class_weight)
+            assert breakdown.regression == pair_regression_loss(proposals, gts, expected, self.CFG)
+            assert breakdown.visibility == pair_visibility_loss(proposals, gts, expected, self.CFG)
+            targets = classification_targets(expected, gts, proposals.shape[0], probs.shape[1] - 1)
+            assert breakdown.classification == focal_classification_loss(probs, targets)
+            np.testing.assert_array_equal(
+                regression_loss_grad(proposals, gts, expected, self.CFG),
+                pair_regression_grad(proposals, gts, expected, self.CFG))
 
 
 class TestRegressionLoss:
