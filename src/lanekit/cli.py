@@ -229,25 +229,31 @@ def cmd_masks(args) -> int:
     k_nearest = int(opts.get("k-nearest", 10))
     seed = int(opts.get("seed", 0))
 
+    if history < 0 or keep < 0:
+        raise ValueError(f"history and keep must be >= 0, got {history} and {keep}")
+
+    # Row degrees come from the index lists' shapes; no (queries x keys) mask is built.
     pts = _canonical_lane_points(n, m)
-    same = attention.same_line_mask(n, m)
-    neighbor = attention.neighbor_line_mask(pts)
+    same_degree = attention.same_line_index(n, m).shape[1]
+    neighbor_degree = attention.neighbor_line_index(pts).shape[1]
     memory_entries = history * keep * m
     report = {
         "lanes": n,
         "points": m,
-        "same_line_row_degree": int(same.sum(axis=1)[0]),
-        "neighbor_row_degree": int(neighbor.sum(axis=1)[0]),
+        "same_line_row_degree": same_degree,
+        "neighbor_row_degree": neighbor_degree,
         "memory_entries": memory_entries,
     }
+    memory_degree = 0
     if memory_entries:
         rng = np.random.default_rng(seed)
         mem_pts = rng.uniform(-10, 110, size=(memory_entries, 4))
-        mem = attention.memory_mask(pts.reshape(-1, 4), mem_pts, k_nearest=k_nearest)
-        report["memory_row_degree"] = int(mem.sum(axis=1)[0])
-        report["active_fraction"] = attention.sparsity_ratio(same, neighbor, mem)
-    else:
-        report["active_fraction"] = attention.sparsity_ratio(same, neighbor)
+        memory_degree = attention.memory_index(pts.reshape(-1, 4), mem_pts,
+                                               k_nearest=k_nearest).shape[1]
+        report["memory_row_degree"] = memory_degree
+    rows = n * m
+    report["active_fraction"] = (rows * (same_degree + neighbor_degree + memory_degree)
+                                 / (rows * (n * m + memory_entries)))
     report["sparsity"] = 1.0 - report["active_fraction"]
     if args.out:
         frames.write_json_report(args.out, {"report": report,

@@ -89,6 +89,9 @@ def _frame_from_dict(d: dict) -> LaneFrame:
         pose = EgoPose(np.array(d["ego_pose"], dtype=float).reshape(4, 4))
         lanes = [Lane(lane_id=l["id"], category=l["category"], points=np.array(l["points"], dtype=float))
                  for l in d["lanes"]]
+        for lane in lanes:
+            if not np.isfinite(lane.points).all():
+                raise ValueError(f"frame {d['frame_id']} lane {lane.lane_id}: non-finite lane points")
         camera = _camera_from_dict(d["camera"]) if "camera" in d else None
         return LaneFrame(frame_id=d["frame_id"], timestamp_s=d["timestamp_s"],
                          pose=pose, lanes=lanes, camera=camera)

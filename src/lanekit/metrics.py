@@ -6,11 +6,18 @@ extent.  A prediction and a target match pointwise where their (x, z)
 distance stays below the point threshold; a pair is admissible when
 enough of the co-visible grid points match, and a minimum-cost
 one-to-one assignment over admissible pairs yields the true positives.
-The chamfer variant skips the grid and scores dense polylines directly.
+
+The chamfer variant skips the grid and scores the lane samples directly.
+It is point-to-point: a pair's distance is the mean, over every target
+sample, of the 3D distance to the nearest predicted sample, with
+visibility ignored, and only a distance below the chamfer threshold (tau)
+counts as a match.  It is computed exactly in squared form, taking one
+square root per target sample rather than one per pair.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,10 +44,15 @@ class MatchConfig:
     chamfer_threshold: float = 0.3
 
     def __post_init__(self):
-        if self.point_threshold <= 0:
-            raise ValueError("point threshold must be positive")
+        for name in ("point_threshold", "chamfer_threshold", "y_step"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if not 0.0 < self.match_fraction <= 1.0:
             raise ValueError("match fraction must lie in (0, 1]")
+        if not (math.isfinite(self.y_min) and math.isfinite(self.y_max) and self.y_max > self.y_min):
+            raise ValueError(f"y range must be finite with y_max > y_min, "
+                             f"got [{self.y_min!r}, {self.y_max!r}]")
 
     @property
     def y_grid(self) -> np.ndarray:
@@ -175,11 +187,28 @@ def vis_iou(match: FrameMatch) -> float | None:
 
 
 def unilateral_chamfer(gt_points: np.ndarray, pred_points: np.ndarray) -> float:
-    """Mean distance from each target sample to its nearest predicted point."""
-    gt = np.asarray(gt_points, dtype=float)[:, :3]
-    pred = np.asarray(pred_points, dtype=float)[:, :3]
-    diff = gt[:, None, :] - pred[None, :, :]
-    return float(np.linalg.norm(diff, axis=2).min(axis=1).mean())
+    """Point-to-point chamfer: the mean, over every target sample, of the 3D
+    distance to the nearest predicted sample.
+
+    Visibility is ignored and no sample is interpolated between; a pair
+    counts as a chamfer match only when this distance is below tau
+    (`MatchConfig.chamfer_threshold`).  The search runs on squared
+    distances, summed per coordinate in x, y, z order as `np.linalg.norm`
+    sums them, and the square root is taken only of each target sample's
+    minimum.  `sqrt` is correctly rounded and monotone, so the result
+    equals the norm-per-pair form bit for bit.
+    """
+    gt = np.asarray(gt_points, dtype=float)
+    pred = np.asarray(pred_points, dtype=float)
+    dist = np.subtract.outer(gt[:, 0], pred[:, 0])
+    gap = np.subtract.outer(gt[:, 1], pred[:, 1])
+    dist *= dist
+    gap *= gap
+    dist += gap
+    np.subtract.outer(gt[:, 2], pred[:, 2], out=gap)
+    gap *= gap
+    dist += gap
+    return float(np.sqrt(dist.min(axis=1)).mean())
 
 
 def _chamfer_matches(pred_lanes, gt_lanes, tau: float) -> list[float]:

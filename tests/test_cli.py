@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from lanekit import attention
 from lanekit.cli import main
-from lanekit.frames import read_detections, read_lane_frames, write_detections
+from lanekit.frames import read_detections, read_lane_frames, write_detections, write_lane_frames
 
 
 def run_synth(tmp_path, prefix="scene", frames=30, extra=()):
@@ -49,6 +50,21 @@ class TestEvalCommand:
         assert report["chamfer"]["mean_cd"] == 0.0
         assert report_path.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--y-step", "0"), ("--y-step", "-2"), ("--y-step", "nan"),
+        ("--threshold", "nan"), ("--threshold", "inf"),
+        ("--chamfer-threshold", "nan"), ("--chamfer-threshold", "0"), ("--chamfer-threshold", "-0.3"),
+        ("--y-max", "-5"), ("--y-max", "0"), ("--y-max", "inf"), ("--y-min", "nan"),
+    ])
+    def test_invalid_match_config_rejected(self, tmp_path, capsys, flag, value):
+        run_synth(tmp_path, frames=3)
+        gt = str(tmp_path / "scene.gt.jsonl")
+        report_path = tmp_path / "report.json"
+        code = main(["eval", "--pred", gt, "--gt", gt, "--out", str(report_path), flag, value])
+        assert code == 2
+        assert "must be" in json.loads(capsys.readouterr().err)["error"]
+        assert not report_path.exists()
+
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
         code = main(["eval", "--pred", str(tmp_path / "nope.jsonl"),
                      "--gt", str(tmp_path / "nope.jsonl")])
@@ -65,6 +81,29 @@ def test_directory_path_fails_cleanly(tmp_path, capsys, argv):
     code = main([arg.format(dir=tmp_path) for arg in argv])
     assert code == 2
     assert "error" in json.loads(capsys.readouterr().err)
+
+
+def write_non_finite_prediction(tmp_path, bad):
+    """The synthetic ground truth with one lane point's x replaced by `bad`."""
+    run_synth(tmp_path, frames=3)
+    lane_frames, _ = read_lane_frames(tmp_path / "scene.gt.jsonl")
+    lane_frames[1].lanes[0].points[5, 0] = bad
+    path = tmp_path / "pred.jsonl"
+    write_lane_frames(path, lane_frames)
+    return path
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+@pytest.mark.parametrize("argv", [
+    ["eval", "--pred", "{pred}", "--gt", "{dir}/scene.gt.jsonl", "--out", "{dir}/out.json"],
+    ["spline", "--input", "{pred}", "--out", "{dir}/out.json", "--y-start", "0", "--y-end", "100"],
+])
+def test_non_finite_lane_point_fails_cleanly(tmp_path, capsys, bad, argv):
+    pred = write_non_finite_prediction(tmp_path, bad)
+    code = main([arg.format(pred=pred, dir=tmp_path) for arg in argv])
+    assert code == 2
+    assert "frame 1 lane 0: non-finite lane points" in json.loads(capsys.readouterr().err)["error"]
+    assert not (tmp_path / "out.json").exists()
 
 
 class TestAutolabelCommand:
@@ -136,6 +175,34 @@ class TestMasksCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["memory_entries"] == 600
         assert report["active_fraction"] <= 0.15
+
+    @pytest.mark.parametrize("argv, line", [
+        (["--lanes", "40", "--points", "20", "--history", "3", "--keep", "10", "--k-nearest", "10",
+          "--seed", "7"],
+         '{"active_fraction": 0.07714285714285714, "lanes": 40, "memory_entries": 600, '
+         '"memory_row_degree": 10, "neighbor_row_degree": 78, "points": 20, '
+         '"same_line_row_degree": 20, "sparsity": 0.9228571428571428}'),
+        (["--lanes", "7", "--points", "9"],
+         '{"active_fraction": 0.3333333333333333, "lanes": 7, "memory_entries": 0, '
+         '"neighbor_row_degree": 12, "points": 9, "same_line_row_degree": 9, '
+         '"sparsity": 0.6666666666666667}'),
+        (["--lanes", "1", "--points", "4"],
+         '{"active_fraction": 1.0, "lanes": 1, "memory_entries": 0, "neighbor_row_degree": 0, '
+         '"points": 4, "same_line_row_degree": 4, "sparsity": 0.0}'),
+    ], ids=["40x20-memory", "7x9", "1x4"])
+    def test_report_without_dense_masks(self, monkeypatch, capsys, argv, line):
+        def no_dense_mask(*args, **kwargs):
+            raise AssertionError("lanekit masks built a dense mask")
+        monkeypatch.setattr(attention, "index_to_mask", no_dense_mask)
+        assert main(["masks", *argv]) == 0
+        assert capsys.readouterr().out == line + "\n"
+
+    @pytest.mark.parametrize("history, keep", [(-1, -1), (-1, 10), (3, -1)])
+    def test_negative_history_or_keep_rejected(self, capsys, history, keep):
+        code = main(["masks", "--lanes", "3", "--points", "5",
+                     "--history", str(history), "--keep", str(keep)])
+        assert code == 2
+        assert "history and keep" in json.loads(capsys.readouterr().err)["error"]
 
     def test_negative_k_nearest_rejected(self, capsys):
         code = main(["masks", "--lanes", "3", "--points", "5", "--history", "1", "--keep", "2",

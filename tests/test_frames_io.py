@@ -66,6 +66,17 @@ class TestLaneFrames:
         with pytest.raises(SchemaError, match="kind"):
             read_lane_frames(path)
 
+    @pytest.mark.parametrize("column", [0, 1, 2, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lane_points_rejected(self, tmp_path, bad, column):
+        frames = sample_frames()
+        frames[1].lanes = [Lane(lane_id=4, category=1, points=frames[1].lanes[0].points.copy())]
+        frames[1].lanes[0].points[1, column] = bad
+        path = tmp_path / "frames.jsonl"
+        write_lane_frames(path, frames)
+        with pytest.raises(SchemaError, match="frame 1 lane 4: non-finite"):
+            read_lane_frames(path)
+
     def test_malformed_record_rejected(self, tmp_path):
         path = tmp_path / "frames.jsonl"
         write_lane_frames(path, sample_frames())

@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lanekit.metrics import (
     EvalAccumulator,
@@ -23,6 +26,19 @@ def lane(x_offset, y_lo=0.0, y_hi=100.0, n=101, z=0.0, v=1.0, x_slope=0.0):
 
 
 CFG = MatchConfig()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("point_threshold", np.nan), ("point_threshold", np.inf),
+    ("chamfer_threshold", np.nan), ("chamfer_threshold", np.inf), ("chamfer_threshold", 0.0),
+    ("chamfer_threshold", -0.3),
+    ("y_step", 0.0), ("y_step", -2.0), ("y_step", np.nan), ("y_step", np.inf),
+    ("y_min", np.nan), ("y_min", -np.inf), ("y_min", 100.0),
+    ("y_max", np.nan), ("y_max", np.inf), ("y_max", -5.0), ("y_max", 0.0),
+])
+def test_match_config_rejects_degenerate_values(field, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        MatchConfig(**{field: value})
 
 
 class TestResample:
@@ -205,6 +221,49 @@ class TestChamfer:
         assert r == 1.0
         assert p == 0.5
         assert cd == pytest.approx(0.05, abs=1e-9)
+
+
+def norm_chamfer(gt_points, pred_points):
+    """Reference kernel: the (G, P, 3) difference array and one norm per pair."""
+    gt = np.asarray(gt_points, dtype=float)[:, :3]
+    pred = np.asarray(pred_points, dtype=float)[:, :3]
+    diff = gt[:, None, :] - pred[None, :, :]
+    return float(np.linalg.norm(diff, axis=2).min(axis=1).mean())
+
+
+_COORDINATES = st.builds(lambda sign, magnitude: sign * magnitude, st.sampled_from([-1.0, 1.0]),
+                         st.floats(min_value=1e-3, max_value=1e4))
+
+
+@st.composite
+def _shared_point_sets(draw):
+    """Target and prediction rows drawn from one pool, so points repeat within
+    and across the two sets; either set may hold a single point."""
+    pool = draw(arrays(np.float64, (draw(st.integers(1, 60)), 4), elements=_COORDINATES))
+    rows = st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=60)
+    return pool[draw(rows)], pool[draw(rows)]
+
+
+class TestChamferKernel:
+    """`unilateral_chamfer` equals the norm-per-pair kernel bit for bit."""
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(pair=_shared_point_sets(),
+           gt=arrays(np.float64, st.tuples(st.integers(1, 60), st.just(4)), elements=_COORDINATES),
+           pred=arrays(np.float64, st.tuples(st.integers(1, 60), st.just(4)), elements=_COORDINATES))
+    @example(pair=(np.array([[1e-3, 2e4 / 3, -7.0, 1.0]] * 3), np.array([[0.1, 0.2, 0.3, 0.0]])),
+             gt=np.array([[1.0, 2.0, 3.0, 1.0]]), pred=np.array([[1.0, 2.0, 3.0, 1.0]]))
+    def test_bit_equal_to_norm_kernel(self, pair, gt, pred):
+        for target, prediction in (pair, (gt, pred), (gt, pred[:1]), (pred, gt)):
+            assert unilateral_chamfer(target, prediction) == norm_chamfer(target, prediction)
+
+    def test_bit_equal_on_lane_shaped_polylines(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            target = lane(rng.normal(0, 3), n=int(rng.integers(2, 120)), z=rng.normal(), x_slope=1e-3)
+            predicted = lane(rng.normal(0, 3), y_lo=rng.uniform(0, 50), n=int(rng.integers(1, 60)))
+            predicted[:, :3] += rng.normal(0, 0.05, size=(len(predicted), 3))
+            assert unilateral_chamfer(target, predicted) == norm_chamfer(target, predicted)
 
 
 class TestAccumulator:
