@@ -42,6 +42,9 @@ class _Options:
         if getattr(args, "config", None):
             with open(args.config, "r", encoding="utf-8") as fh:
                 self.config = json.load(fh)
+            if not isinstance(self.config, dict):
+                raise ValueError(f"{args.config}: expected a JSON object, "
+                                 f"got {type(self.config).__name__}")
         self.resolved = {}
 
     def get(self, name, default):
@@ -80,15 +83,14 @@ def cmd_synth(args) -> int:
     frames.write_trajectory(args.out_prefix + ".trajectory.json", world.trajectory, config)
     frames.write_camera(args.out_prefix + ".camera.json", cam, config)
 
-    gt_frames = []
-    det_frames = []
-    for f in range(spec.frames):
-        lanes = [Lane(lane_id=i, category=c, points=p)
-                 for i, c, p in world.lanes_in_frame(f, y_max=y_max)]
-        gt_frames.append(LaneFrame(frame_id=f, timestamp_s=float(world.trajectory.timestamps[f]),
-                                   pose=world.trajectory.poses[f], lanes=lanes, camera=cam))
-        det_frames.append((f, float(world.trajectory.timestamps[f]),
-                           synth.render_2d(world, f, cam, pixel_noise_sigma=noise)))
+    stamps = world.trajectory.timestamps
+    gt_frames = (LaneFrame(frame_id=f, timestamp_s=float(stamps[f]), pose=world.trajectory.poses[f],
+                           lanes=[Lane(lane_id=i, category=c, points=p)
+                                  for i, c, p in world.lanes_in_frame(f, y_max=y_max)],
+                           camera=cam)
+                 for f in range(spec.frames))
+    det_frames = ((f, float(stamps[f]), synth.render_2d(world, f, cam, pixel_noise_sigma=noise))
+                  for f in range(spec.frames))
     frames.write_lane_frames(args.out_prefix + ".gt.jsonl", gt_frames, config)
     frames.write_detections(args.out_prefix + ".detections.jsonl", det_frames, config)
     print(json.dumps({"frames": spec.frames, "lanes": spec.num_lanes,
@@ -106,27 +108,28 @@ def cmd_autolabel(args) -> int:
 
     traj = frames.read_trajectory(args.trajectory)
     cam = frames.read_camera(args.camera)
-    det_frames, _ = frames.read_detections(args.detections)
-    for frame_id, _, _ in det_frames:
-        if type(frame_id) is not int or not 0 <= frame_id < len(traj):
-            raise SchemaError(f"detection frame_id {frame_id!r} is not a pose index of the "
-                              f"{len(traj)}-pose trajectory")
+    _, det_frames = frames.iter_detections(args.detections)
     surf = build_surface(traj)
     tracker = LineTracker(surf, station_spacing=station_spacing, gate=gate,
                           min_hits=min_hits, lead=label_range + 30.0)
-    for frame_id, _, detections in det_frames:
-        pose = traj.poses[frame_id]
-        tracker.step(lift_detections(detections, cam, pose, surf, near_range=near_range))
+    # Labels need every frame's detections tracked first; keep only what emission needs.
+    frame_times = []
+    for frame_id, timestamp, detections in det_frames:
+        if not 0 <= frame_id < len(traj):
+            raise SchemaError(f"detection frame_id {frame_id!r} is not a pose index of the "
+                              f"{len(traj)}-pose trajectory")
+        tracker.step(lift_detections(detections, cam, traj.poses[frame_id], surf,
+                                     near_range=near_range))
+        frame_times.append((frame_id, timestamp))
 
-    label_frames = []
-    for frame_id, timestamp, _ in det_frames:
-        pose = traj.poses[frame_id]
-        lanes = [Lane(lane_id=i, category=c, points=p)
-                 for i, c, p in emit_frame_labels(tracker, pose, max_range=label_range)]
-        label_frames.append(LaneFrame(frame_id=frame_id, timestamp_s=timestamp,
-                                      pose=pose, lanes=lanes, camera=cam))
+    label_frames = (
+        LaneFrame(frame_id=frame_id, timestamp_s=timestamp, pose=traj.poses[frame_id],
+                  lanes=[Lane(lane_id=i, category=c, points=p) for i, c, p
+                         in emit_frame_labels(tracker, traj.poses[frame_id], max_range=label_range)],
+                  camera=cam)
+        for frame_id, timestamp in frame_times)
     frames.write_lane_frames(args.out, label_frames, dict(sorted(opts.resolved.items())))
-    print(json.dumps({"tracks": len(tracker.mature_tracks()), "frames": len(label_frames),
+    print(json.dumps({"tracks": len(tracker.mature_tracks()), "frames": len(frame_times),
                       "out": args.out}, sort_keys=True))
     return 0
 
@@ -152,6 +155,66 @@ def _format_table(report: dict) -> str:
     return head + "\n" + body
 
 
+class _Unordered(Exception):
+    """Frame ids that do not strictly increase within one file."""
+
+
+def _ascending(lane_frames):
+    """Pass frames on while their ids strictly increase, reading one frame ahead.
+
+    A frame is yielded only after its successor has been read, so a
+    duplicate id raises _Unordered before its first frame is used.
+    """
+    previous = None
+    for frame in lane_frames:
+        if previous is not None:
+            if frame.frame_id <= previous.frame_id:
+                raise _Unordered
+            yield previous
+        previous = frame
+    if previous is not None:
+        yield previous
+
+
+def _pairs_in_order(pred_path, gt_path):
+    """The pairs of `_pairs_by_id`, found by walking both files together.
+
+    Holds two frames of each file at a time.  Raises _Unordered,
+    possibly after yielding pairs, when either file's ids do not
+    strictly increase; every frame of both files is read and checked.
+    """
+    _, preds = frames.iter_lane_frames(pred_path)
+    _, gts = frames.iter_lane_frames(gt_path)
+    gts = _ascending(gts)
+    gf = next(gts, None)
+    for pf in _ascending(preds):
+        while gf is not None and gf.frame_id < pf.frame_id:
+            gf = next(gts, None)
+        if gf is not None and gf.frame_id == pf.frame_id:
+            yield pf, gf
+    for _ in gts:  # ground truth past the last prediction is still checked, as by-id pairing does
+        pass
+
+
+def _pairs_by_id(pred_path, gt_path):
+    """(prediction, ground truth) frames in prediction-file order, paired by frame id.
+
+    A prediction frame meets the last ground-truth frame with its id and
+    is skipped when there is none.  Holds both files in memory.
+    """
+    pred_frames, _ = frames.read_lane_frames(pred_path)
+    gt_frames, _ = frames.read_lane_frames(gt_path)
+    gt_by_id = {f.frame_id: f for f in gt_frames}
+    return [(pf, gt_by_id[pf.frame_id]) for pf in pred_frames if pf.frame_id in gt_by_id]
+
+
+def _accumulate(cfg: metrics.MatchConfig, pairs) -> metrics.EvalAccumulator:
+    acc = metrics.EvalAccumulator(cfg=cfg)
+    for pf, gf in pairs:
+        acc.add_frame([l.points for l in pf.lanes], [l.points for l in gf.lanes])
+    return acc
+
+
 def cmd_eval(args) -> int:
     opts = _Options(args)
     cfg = metrics.MatchConfig(
@@ -162,15 +225,11 @@ def cmd_eval(args) -> int:
         y_step=float(opts.get("y-step", 2.0)),
         chamfer_threshold=float(opts.get("chamfer-threshold", 0.3)),
     )
-    pred_frames, _ = frames.read_lane_frames(args.pred)
-    gt_frames, _ = frames.read_lane_frames(args.gt)
-    gt_by_id = {f.frame_id: f for f in gt_frames}
-    acc = metrics.EvalAccumulator(cfg=cfg)
-    for pf in pred_frames:
-        gf = gt_by_id.get(pf.frame_id)
-        if gf is None:
-            continue
-        acc.add_frame([l.points for l in pf.lanes], [l.points for l in gf.lanes])
+    try:
+        acc = _accumulate(cfg, _pairs_in_order(args.pred, args.gt))
+    except _Unordered:
+        # Same pairs, added in the same order, so the same report bytes.
+        acc = _accumulate(cfg, _pairs_by_id(args.pred, args.gt))
     report = acc.report()
     report["config"] = dict(sorted(opts.resolved.items()))
     if args.out:
@@ -188,23 +247,28 @@ def cmd_spline(args) -> int:
         y_end=float(opts.get("y-end", 103.0)),
         samples=int(opts.get("samples", 100)),
     )
-    in_frames, _ = frames.read_lane_frames(args.input)
+    _, in_frames = frames.iter_lane_frames(args.input)
     basis = splines.build_basis(cfg)
-    out_frames = []
-    for f in in_frames:
-        lanes = []
-        for lane in f.lanes:
-            pts = lane.points
-            keep = (pts[:, 1] >= cfg.y_start) & (pts[:, 1] <= cfg.y_end)
-            if np.count_nonzero(keep) < cfg.m:
-                continue
-            control = splines.fit_control_points(pts[keep], cfg)
-            lanes.append(Lane(lane_id=lane.lane_id, category=lane.category,
-                              points=splines.evaluate_curve(control, basis)))
-        out_frames.append(LaneFrame(frame_id=f.frame_id, timestamp_s=f.timestamp_s,
-                                    pose=f.pose, lanes=lanes, camera=f.camera))
-    frames.write_lane_frames(args.out, out_frames, dict(sorted(opts.resolved.items())))
-    print(json.dumps({"frames": len(out_frames), "out": args.out}, sort_keys=True))
+    written = 0
+
+    def fitted():
+        nonlocal written
+        for f in in_frames:
+            lanes = []
+            for lane in f.lanes:
+                pts = lane.points
+                keep = (pts[:, 1] >= cfg.y_start) & (pts[:, 1] <= cfg.y_end)
+                if np.count_nonzero(keep) < cfg.m:
+                    continue
+                control = splines.fit_control_points(pts[keep], cfg)
+                lanes.append(Lane(lane_id=lane.lane_id, category=lane.category,
+                                  points=splines.evaluate_curve(control, basis)))
+            written += 1
+            yield LaneFrame(frame_id=f.frame_id, timestamp_s=f.timestamp_s,
+                            pose=f.pose, lanes=lanes, camera=f.camera)
+
+    frames.write_lane_frames(args.out, fitted(), dict(sorted(opts.resolved.items())))
+    print(json.dumps({"frames": written, "out": args.out}, sort_keys=True))
     return 0
 
 
@@ -229,6 +293,8 @@ def cmd_masks(args) -> int:
     k_nearest = int(opts.get("k-nearest", 10))
     seed = int(opts.get("seed", 0))
 
+    if m < 4:  # neighbour tangents come from a cubic spline basis over each lane's points
+        raise ValueError(f"--points must be at least 4, got {m}")
     if history < 0 or keep < 0:
         raise ValueError(f"history and keep must be >= 0, got {history} and {keep}")
 

@@ -3,13 +3,33 @@ JSON trajectory / camera files.
 
 Every file starts with (or contains) a header carrying the schema
 version and the config that produced it; readers reject version
-mismatches.  Serialization is canonical (sorted keys, fixed separators)
-so equal inputs produce byte-identical files.
+mismatches and any header or document that is not a JSON object.
+Serialization is canonical (sorted keys, fixed separators) so equal
+inputs produce byte-identical files.
+
+Lane and detection files are read one frame at a time:
+`iter_lane_frames` and `iter_detections` check the header eagerly and
+return it with an iterator that parses and validates one record per
+step, so a caller that does not keep frames holds one frame in memory
+whatever the file's length.  `frame_id` is an int in both formats;
+`lanekit synth` writes ids in ascending order and `autolabel` and
+`spline` keep their input's order.  `lanekit eval` pairs prediction
+and ground-truth frames by id and, while both files' ids strictly
+ascend, walks them together in bounded memory (otherwise it pairs
+through a dict by id, with the same result).  Writers take iterables,
+so they too hold one record at a time, and every writer writes
+`<path>.tmp` beside the target and renames it over the target only when
+the whole file is written: a failed write leaves neither a partial
+output nor the temporary file.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
+import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +42,10 @@ SCHEMA_VERSION = 1
 
 class SchemaError(ValueError):
     """Raised for malformed files or schema version mismatches."""
+
+
+# what parsing a decoded record can raise; OverflowError is an int too large for a float
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
 
 
 @dataclass
@@ -59,14 +83,34 @@ def _camera_to_dict(cam: CameraModel) -> dict:
     }
 
 
+def _int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{name} must be an int, got {value!r}")
+    return value
+
+
+def _finite(value, name: str):
+    finite = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    if isinstance(value, bool) or not finite:
+        raise SchemaError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def _finite_matrix(values, name: str) -> np.ndarray:
+    matrix = np.array(values, dtype=float).reshape(4, 4)
+    if not np.isfinite(matrix).all():
+        raise SchemaError(f"{name} has non-finite entries")
+    return matrix
+
+
 def _camera_from_dict(d: dict) -> CameraModel:
     # files written before the image size was stored take the model's defaults
     size = {key: d[key] for key in ("width", "height") if key in d}
     for key, value in size.items():
         if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
             raise SchemaError(f"camera {key} must be a positive int, got {value!r}")
-    return CameraModel(fx=d["fx"], fy=d["fy"], cx=d["cx"], cy=d["cy"],
-                       extrinsic=np.array(d["extrinsic"], dtype=float).reshape(4, 4), **size)
+    return CameraModel(**{key: _finite(d[key], f"camera {key}") for key in ("fx", "fy", "cx", "cy")},
+                       extrinsic=_finite_matrix(d["extrinsic"], "camera extrinsic"), **size)
 
 
 def _frame_to_dict(frame: LaneFrame) -> dict:
@@ -86,59 +130,120 @@ def _frame_to_dict(frame: LaneFrame) -> dict:
 
 def _frame_from_dict(d: dict) -> LaneFrame:
     try:
-        pose = EgoPose(np.array(d["ego_pose"], dtype=float).reshape(4, 4))
-        lanes = [Lane(lane_id=l["id"], category=l["category"], points=np.array(l["points"], dtype=float))
+        frame_id = _int(d["frame_id"], "frame_id")
+        timestamp_s = _finite(d["timestamp_s"], "timestamp_s")
+        pose = EgoPose(_finite_matrix(d["ego_pose"], "ego_pose"))
+        lanes = [Lane(lane_id=_int(l["id"], "lane id"), category=_int(l["category"], "lane category"),
+                      points=np.array(l["points"], dtype=float))
                  for l in d["lanes"]]
         for lane in lanes:
             if not np.isfinite(lane.points).all():
-                raise ValueError(f"frame {d['frame_id']} lane {lane.lane_id}: non-finite lane points")
+                raise ValueError(f"frame {frame_id} lane {lane.lane_id}: non-finite lane points")
         camera = _camera_from_dict(d["camera"]) if "camera" in d else None
-        return LaneFrame(frame_id=d["frame_id"], timestamp_s=d["timestamp_s"],
+        return LaneFrame(frame_id=frame_id, timestamp_s=timestamp_s,
                          pose=pose, lanes=lanes, camera=camera)
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise SchemaError(f"malformed lane frame: {exc}") from exc
 
 
+def _detection_frame_from_dict(r: dict):
+    try:
+        frame_id = _int(r["frame_id"], "frame_id")
+        timestamp_s = _finite(r["timestamp_s"], "timestamp_s")
+        dets = [(np.array(d["points"], dtype=float), _int(d["category"], "detection category"))
+                for d in r["detections"]]
+        for points, _ in dets:
+            if points.size and (points.ndim != 2 or points.shape[1] != 2):
+                raise ValueError(f"frame {frame_id}: pixel points must be a (k, 2) array")
+            if not np.isfinite(points).all():
+                raise ValueError(f"frame {frame_id}: non-finite pixel coordinates")
+        return frame_id, timestamp_s, dets
+    except _MALFORMED as exc:
+        raise SchemaError(f"malformed detection record: {exc}") from exc
+
+
+def _write_lines(path, lines) -> None:
+    """Write each string of `lines` as one line of `path`, all or nothing.
+
+    The lines go to `<path>.tmp` in the same directory, which replaces
+    `path` only once every line is written; on any exception the
+    temporary file is removed and `path` is left as it was.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # open() may have failed before creating tmp
+            os.remove(tmp)
+        raise
+
+
 def _write_jsonl(path, kind: str, config: dict, records) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dump({"schema_version": SCHEMA_VERSION, "kind": kind, "config": config}) + "\n")
-        for record in records:
-            fh.write(_dump(record) + "\n")
+    header = {"schema_version": SCHEMA_VERSION, "kind": kind, "config": config}
+    _write_lines(path, map(_dump, itertools.chain([header], records)))
 
 
-def _read_jsonl(path, kind: str):
-    with open(path, "r", encoding="utf-8") as fh:
+def _check_document(path, doc, kind: str) -> None:
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    if doc.get("schema_version") != SCHEMA_VERSION:
+        raise SchemaError(f"{path}: schema version {doc.get('schema_version')} != {SCHEMA_VERSION}")
+    if doc.get("kind") != kind:
+        raise SchemaError(f"{path}: expected kind {kind!r}, got {doc.get('kind')!r}")
+
+
+def _jsonl_records(path, kind: str):
+    """Yield the checked header, then each non-blank line's decoded JSON value.
+
+    Lines are read as bytes and decoded one at a time, so text that is
+    not UTF-8 is reported at its own line.
+    """
+    with open(path, "rb") as fh:
         first = fh.readline()
         if not first:
             raise SchemaError(f"{path}: empty file")
         try:
-            header = json.loads(first)
-        except json.JSONDecodeError as exc:
+            header = json.loads(first.decode("utf-8"))
+        except ValueError as exc:
             raise SchemaError(f"{path}: malformed header: {exc}") from exc
-        if header.get("schema_version") != SCHEMA_VERSION:
-            raise SchemaError(
-                f"{path}: schema version {header.get('schema_version')} != {SCHEMA_VERSION}"
-            )
-        if header.get("kind") != kind:
-            raise SchemaError(f"{path}: expected kind {kind!r}, got {header.get('kind')!r}")
-        records = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
+        _check_document(path, header, kind)
+        yield header
+        for lineno, raw in enumerate(fh, start=2):
             try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                record = json.loads(line)
+            except ValueError as exc:
                 raise SchemaError(f"{path}:{lineno}: malformed record: {exc}") from exc
-    return header, records
+            yield record
+
+
+def _iter_jsonl(path, kind: str, parse):
+    records = _jsonl_records(path, kind)
+    header = next(records)
+    return header, map(parse, records)
 
 
 def write_lane_frames(path, frames, config: dict | None = None) -> None:
     _write_jsonl(path, "lane_frames", config or {}, (_frame_to_dict(f) for f in frames))
 
 
+def iter_lane_frames(path):
+    """(header, iterator of LaneFrame); the header is checked before this returns.
+
+    The iterator reads, parses and validates one frame per step and
+    raises SchemaError at the first malformed line or frame.
+    """
+    return _iter_jsonl(path, "lane_frames", _frame_from_dict)
+
+
 def read_lane_frames(path):
-    header, records = _read_jsonl(path, "lane_frames")
-    return [_frame_from_dict(r) for r in records], header
+    header, frames = iter_lane_frames(path)
+    return list(frames), header
 
 
 def write_detections(path, frames, config: dict | None = None) -> None:
@@ -156,18 +261,14 @@ def write_detections(path, frames, config: dict | None = None) -> None:
     _write_jsonl(path, "detections_2d", config or {}, records())
 
 
+def iter_detections(path):
+    """(header, iterator of (frame_id, timestamp_s, [(pixels, category), ...])), one frame per step."""
+    return _iter_jsonl(path, "detections_2d", _detection_frame_from_dict)
+
+
 def read_detections(path):
-    header, records = _read_jsonl(path, "detections_2d")
-    frames = []
-    try:
-        for r in records:
-            dets = [(np.array(d["points"], dtype=float), d["category"]) for d in r["detections"]]
-            if not all(np.isfinite(points).all() for points, _ in dets):
-                raise ValueError(f"frame {r['frame_id']}: non-finite pixel coordinates")
-            frames.append((r["frame_id"], r["timestamp_s"], dets))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed detection record: {exc}") from exc
-    return frames, header
+    header, frames = iter_detections(path)
+    return list(frames), header
 
 
 def write_trajectory(path, traj: Trajectory, config: dict | None = None) -> None:
@@ -180,8 +281,7 @@ def write_trajectory(path, traj: Trajectory, config: dict | None = None) -> None
             for t, p in zip(traj.timestamps, traj.poses)
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dump(doc) + "\n")
+    _write_lines(path, [_dump(doc)])
 
 
 def read_trajectory(path) -> Trajectory:
@@ -189,7 +289,7 @@ def read_trajectory(path) -> Trajectory:
     try:
         stamps = [p["timestamp_s"] for p in doc["poses"]]
         poses = [EgoPose(np.array(p["pose"], dtype=float).reshape(4, 4)) for p in doc["poses"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise SchemaError(f"malformed trajectory: {exc}") from exc
     return Trajectory(np.array(stamps, dtype=float), poses)
 
@@ -197,15 +297,14 @@ def read_trajectory(path) -> Trajectory:
 def write_camera(path, cam: CameraModel, config: dict | None = None) -> None:
     doc = {"schema_version": SCHEMA_VERSION, "kind": "camera", "config": config or {}}
     doc.update(_camera_to_dict(cam))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dump(doc) + "\n")
+    _write_lines(path, [_dump(doc)])
 
 
 def read_camera(path) -> CameraModel:
     doc = _read_json(path, "camera")
     try:
         return _camera_from_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise SchemaError(f"malformed camera file: {exc}") from exc
 
 
@@ -213,15 +312,11 @@ def _read_json(path, kind: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or text that is not UTF-8
             raise SchemaError(f"{path}: malformed JSON: {exc}") from exc
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise SchemaError(f"{path}: schema version {doc.get('schema_version')} != {SCHEMA_VERSION}")
-    if doc.get("kind") != kind:
-        raise SchemaError(f"{path}: expected kind {kind!r}, got {doc.get('kind')!r}")
+    _check_document(path, doc, kind)
     return doc
 
 
 def write_json_report(path, report: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dump({"schema_version": SCHEMA_VERSION, **report}) + "\n")
+    _write_lines(path, [_dump({"schema_version": SCHEMA_VERSION, **report})])

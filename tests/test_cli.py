@@ -1,10 +1,19 @@
 import json
+import shutil
+import tracemalloc
 
 import pytest
 
-from lanekit import attention
+from lanekit import attention, cli
 from lanekit.cli import main
-from lanekit.frames import read_detections, read_lane_frames, write_detections, write_lane_frames
+from lanekit.frames import (
+    Lane,
+    LaneFrame,
+    read_detections,
+    read_lane_frames,
+    write_detections,
+    write_lane_frames,
+)
 
 
 def run_synth(tmp_path, prefix="scene", frames=30, extra=()):
@@ -73,6 +82,56 @@ class TestEvalCommand:
         assert "error" in json.loads(err)
 
 
+def shifted(frame, frame_id, dx):
+    """`frame` under id `frame_id` with every lane moved `dx` m sideways."""
+    lanes = [Lane(lane_id=lane.lane_id, category=lane.category, points=lane.points + [dx, 0.0, 0.0, 0.0])
+             for lane in frame.lanes]
+    return LaneFrame(frame_id=frame_id, timestamp_s=frame.timestamp_s, pose=frame.pose,
+                     lanes=lanes, camera=frame.camera)
+
+
+def _unordered(*args):
+    raise cli._Unordered
+
+
+def _no_by_id_pairing(*args):
+    raise AssertionError("eval fell back to by-id pairing")
+
+
+class TestEvalPairing:
+    """`eval` walks both files in id order where it can and otherwise pairs through
+    a dict by id; either way report.json is the by-id pairing's, byte for byte."""
+
+    # Ground-truth frame i is moved 2.0 i m sideways and prediction frame i 2.1 i m,
+    # so a prediction paired with another frame's ground truth is off by 2 m or more.
+    @pytest.mark.parametrize("pred_ids, gt_ids, walks", [
+        ([0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5], True),
+        ([0, 1, 3, 7], [0, 1, 2, 3, 4, 5], True),
+        ([3, 0, 5, 1, 4, 2], [0, 1, 2, 3, 4, 5], False),
+        ([0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 3, 4, 5], False),
+    ], ids=["ascending", "pred-id-missing-from-gt", "shuffled-pred", "duplicate-gt-id"])
+    def test_report_equals_by_id_pairing(self, tmp_path, monkeypatch, capsys, pred_ids, gt_ids, walks):
+        run_synth(tmp_path, frames=8)
+        base, _ = read_lane_frames(tmp_path / "scene.gt.jsonl")
+        gt = [shifted(base[i], i, 2.0 * i) for i in gt_ids]
+        if len(set(gt_ids)) < len(gt_ids):
+            gt[gt_ids.index(3)] = shifted(base[3], 3, 50.0)  # the later frame with id 3 wins
+        write_lane_frames(tmp_path / "pred.jsonl", [shifted(base[i], i, 2.1 * i) for i in pred_ids])
+        write_lane_frames(tmp_path / "gt.jsonl", gt)
+        argv = ["eval", "--pred", str(tmp_path / "pred.jsonl"), "--gt", str(tmp_path / "gt.jsonl"), "--out"]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_pairs_in_order", _unordered)
+            assert main(argv + [str(tmp_path / "oracle.json")]) == 0
+        if walks:
+            monkeypatch.setattr(cli, "_pairs_by_id", _no_by_id_pairing)
+        assert main(argv + [str(tmp_path / "report.json")]) == 0
+        report = (tmp_path / "report.json").read_bytes()
+        assert report == (tmp_path / "oracle.json").read_bytes()
+        lanes = len(base[0].lanes)
+        assert json.loads(report)["tp"] == lanes * len(set(pred_ids) & set(gt_ids))
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "--pred", "{dir}", "--gt", "{dir}"],
     ["masks", "--config", "{dir}"],
@@ -81,6 +140,33 @@ def test_directory_path_fails_cleanly(tmp_path, capsys, argv):
     code = main([arg.format(dir=tmp_path) for arg in argv])
     assert code == 2
     assert "error" in json.loads(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["eval", "spline", "autolabel"])
+def test_directory_out_fails_cleanly(tmp_path, capsys, command):
+    run_synth(tmp_path, frames=3)
+    out = tmp_path / "out"
+    out.mkdir()
+    gt = str(tmp_path / "scene.gt.jsonl")
+    argv = {
+        "eval": ["eval", "--pred", gt, "--gt", gt],
+        "spline": ["spline", "--input", gt],
+        "autolabel": ["autolabel", "--trajectory", str(tmp_path / "scene.trajectory.json"),
+                      "--camera", str(tmp_path / "scene.camera.json"),
+                      "--detections", str(tmp_path / "scene.detections.jsonl")],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "error" in json.loads(capsys.readouterr().err)
+    assert out.is_dir() and not any(out.iterdir())
+    assert not (tmp_path / "out.tmp").exists()
+
+
+@pytest.mark.parametrize("document", ["[1]", "3", "null", '"x"'])
+def test_non_object_config_rejected(tmp_path, capsys, document):
+    config = tmp_path / "config.json"
+    config.write_text(document)
+    assert main(["masks", "--config", str(config)]) == 2
+    assert "expected a JSON object" in json.loads(capsys.readouterr().err)["error"]
 
 
 def write_non_finite_prediction(tmp_path, bad):
@@ -204,6 +290,11 @@ class TestMasksCommand:
         assert code == 2
         assert "history and keep" in json.loads(capsys.readouterr().err)["error"]
 
+    @pytest.mark.parametrize("points", [3, 1, 0, -1])
+    def test_too_few_points_names_the_flag(self, capsys, points):
+        assert main(["masks", "--lanes", "4", "--points", str(points)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == f"--points must be at least 4, got {points}"
+
     def test_negative_k_nearest_rejected(self, capsys):
         code = main(["masks", "--lanes", "3", "--points", "5", "--history", "1", "--keep", "2",
                      "--k-nearest", "-2"])
@@ -222,6 +313,44 @@ class TestSplineCommand:
         frames, header = read_lane_frames(out)
         assert header["config"]["control-points"] == 10
         assert frames[0].lanes[0].points.shape == (100, 4)
+
+    def test_in_place(self, tmp_path, capsys):
+        run_synth(tmp_path)
+        flags = ["--control-points", "10", "--y-start", "0", "--y-end", "100"]
+        fitted = tmp_path / "fitted.jsonl"
+        shutil.copy(tmp_path / "scene.gt.jsonl", fitted)
+        assert main(["spline", "--input", str(tmp_path / "scene.gt.jsonl"),
+                     "--out", str(tmp_path / "expected.jsonl"), *flags]) == 0
+        assert main(["spline", "--input", str(fitted), "--out", str(fitted), *flags]) == 0
+        assert fitted.read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
+        assert not (tmp_path / "fitted.jsonl.tmp").exists()
+
+
+class TestBoundedMemory:
+    """`eval` and `spline` hold one frame at a time, so their peak does not grow with frames."""
+
+    @pytest.mark.parametrize("command", ["eval", "spline"])
+    def test_peak_does_not_grow_with_frames(self, tmp_path, capsys, command):
+        peaks = []
+        for n_frames in (10, 40):
+            prefix = tmp_path / f"scene{n_frames}"
+            assert main(["synth", str(prefix), "--frames", str(n_frames), "--num-lanes", "3",
+                         "--seed", "7", "--lane-length", "100"]) == 0
+            gt = f"{prefix}.gt.jsonl"
+            argv = {
+                "eval": ["eval", "--pred", gt, "--gt", gt, "--out", str(tmp_path / "report.json")],
+                "spline": ["spline", "--input", gt, "--out", str(tmp_path / "fitted.jsonl"),
+                           "--y-end", "50", "--control-points", "10"],
+            }[command]
+            if not peaks:
+                assert main(argv) == 0  # fill caches outside the measurement
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 class TestTemporalDemoCommand:

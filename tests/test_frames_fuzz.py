@@ -1,0 +1,168 @@
+"""Hypothesis fuzzing of the lane and detection readers and of the CLI
+commands that read them.
+
+Small valid files from `lanekit synth` are mutated line by line (drop,
+duplicate, swap, replace one JSON value) and byte by byte (flip,
+truncate).  Readers may only raise SchemaError; `eval`, `spline` and
+`autolabel` may only return 0 or 2, and a 2 leaves neither the output
+nor its temporary file behind.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from lanekit.cli import main
+from lanekit.frames import (
+    SchemaError,
+    iter_detections,
+    iter_lane_frames,
+    read_detections,
+    read_lane_frames,
+)
+
+REPLACEMENTS = ["x", "", [], [1], {}, None, float("nan"), float("inf"), True, 1.5,
+                -1, 3, 10**6, 2**63, 10**400]
+FUZZ = settings(max_examples=40, deadline=None, database=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+@pytest.fixture(scope="module")
+def scene(tmp_path_factory):
+    """Prefix of a 3-frame, 2-lane synthetic scene."""
+    prefix = tmp_path_factory.mktemp("fuzz") / "scene"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", str(prefix), "--frames", "3", "--num-lanes", "2", "--seed", "7",
+                     "--lane-length", "60", "--pixel-noise", "1.0"]) == 0
+    return str(prefix)
+
+
+def _replace_value(data, line: str) -> str:
+    """`line` with one JSON value, at a drawn depth, replaced by a drawn value."""
+    try:
+        doc = json.loads(line)
+    except ValueError:
+        return line
+    parent, key, node = None, None, doc
+    for _ in range(data.draw(st.integers(0, 6), label="depth")):
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        parent, node = node, node[key]
+    value = data.draw(st.sampled_from(REPLACEMENTS), label="value")
+    if parent is None:
+        return json.dumps(value)
+    parent[key] = value
+    return json.dumps(doc)
+
+
+def mutate(data, text: str) -> bytes:
+    lines = text.splitlines()
+    for _ in range(data.draw(st.integers(0, 3), label="line edits")):
+        if not lines:
+            break
+        op = data.draw(st.sampled_from(["drop", "duplicate", "swap", "replace"]), label="op")
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = data.draw(st.integers(0, len(lines) - 1), label="other line")
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            lines[i] = _replace_value(data, lines[i])
+    raw = bytearray("".join(line + "\n" for line in lines).encode("utf-8"))
+    for _ in range(data.draw(st.integers(0, 2), label="byte flips")):
+        if raw:
+            raw[data.draw(st.integers(0, len(raw) - 1), label="byte")] ^= data.draw(
+                st.integers(1, 255), label="mask")
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[:data.draw(st.integers(0, len(raw)), label="length")]
+    return bytes(raw)
+
+
+def _read_text(path) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _assert_readers_raise_only_schema_errors(path, iter_fn, read_fn):
+    try:
+        _, records = iter_fn(path)
+        for _ in records:
+            pass
+    except SchemaError:
+        pass
+    try:
+        read_fn(path)
+    except SchemaError:
+        pass
+
+
+@FUZZ
+@given(data=st.data())
+def test_lane_reader_raises_only_schema_errors(scene, data):
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "frames.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(mutate(data, _read_text(scene + ".gt.jsonl")))
+        _assert_readers_raise_only_schema_errors(path, iter_lane_frames, read_lane_frames)
+
+
+@FUZZ
+@given(data=st.data())
+def test_detection_reader_raises_only_schema_errors(scene, data):
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "dets.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(mutate(data, _read_text(scene + ".detections.jsonl")))
+        _assert_readers_raise_only_schema_errors(path, iter_detections, read_detections)
+
+
+def _run_cli(argv, out) -> None:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 2)
+    assert not os.path.exists(out + ".tmp")
+    if code == 2:
+        assert "error" in json.loads(stderr.getvalue())
+        assert not os.path.exists(out)
+    else:
+        assert os.path.exists(out)
+
+
+@FUZZ
+@given(data=st.data(), command=st.sampled_from(["eval-pred", "eval-gt", "spline"]))
+def test_lane_commands_exit_cleanly(scene, data, command):
+    with tempfile.TemporaryDirectory() as work:
+        mutated = os.path.join(work, "frames.jsonl")
+        with open(mutated, "wb") as fh:
+            fh.write(mutate(data, _read_text(scene + ".gt.jsonl")))
+        out = os.path.join(work, "out.json")
+        gt = scene + ".gt.jsonl"
+        argv = {
+            "eval-pred": ["eval", "--pred", mutated, "--gt", gt, "--out", out],
+            "eval-gt": ["eval", "--pred", gt, "--gt", mutated, "--out", out],
+            "spline": ["spline", "--input", mutated, "--out", out],
+        }[command]
+        _run_cli(argv, out)
+
+
+@FUZZ
+@given(data=st.data())
+def test_autolabel_exits_cleanly(scene, data):
+    with tempfile.TemporaryDirectory() as work:
+        dets = os.path.join(work, "dets.jsonl")
+        with open(dets, "wb") as fh:
+            fh.write(mutate(data, _read_text(scene + ".detections.jsonl")))
+        out = os.path.join(work, "labels.jsonl")
+        _run_cli(["autolabel", "--trajectory", scene + ".trajectory.json",
+                  "--camera", scene + ".camera.json", "--detections", dets, "--out", out], out)

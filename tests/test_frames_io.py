@@ -8,6 +8,8 @@ from lanekit.frames import (
     Lane,
     LaneFrame,
     SchemaError,
+    iter_detections,
+    iter_lane_frames,
     read_camera,
     read_detections,
     read_lane_frames,
@@ -86,6 +88,115 @@ class TestLaneFrames:
             read_lane_frames(path)
 
 
+def rewrite_record(path, lineno, edit):
+    """Apply `edit` to the JSON object on line `lineno` (1-based) of `path`."""
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[lineno - 1])
+    edit(record)
+    lines[lineno - 1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestStreaming:
+    def test_header_checked_on_call_records_on_iteration(self, tmp_path):
+        path = tmp_path / "frames.jsonl"
+        write_lane_frames(path, sample_frames() + sample_frames(), config={"seed": 3})
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("{not json\n")
+        header, frames = iter_lane_frames(path)
+        assert header["config"] == {"seed": 3}
+        assert [next(frames).frame_id for _ in range(4)] == [0, 1, 0, 1]
+        with pytest.raises(SchemaError, match=r"frames\.jsonl:6: malformed record"):
+            next(frames)
+        with pytest.raises(SchemaError, match="kind"):
+            iter_detections(path)
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "frames.jsonl"
+        write_lane_frames(path, sample_frames())
+        before = path.read_bytes()
+
+        def frames_then_failure():
+            yield from sample_frames()
+            raise RuntimeError("generator failed")
+
+        with pytest.raises(RuntimeError, match="generator failed"):
+            write_lane_frames(path, frames_then_failure(), config={"seed": 4})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["frames.jsonl"]
+
+
+class TestStrictInput:
+    @pytest.mark.parametrize("kind", ["lane_frames", "detections", "trajectory", "camera"])
+    def test_non_object_document_rejected(self, tmp_path, kind):
+        path = tmp_path / "doc.json"
+        path.write_text("[1]\n")
+        reader = {"lane_frames": read_lane_frames, "detections": read_detections,
+                  "trajectory": read_trajectory, "camera": read_camera}[kind]
+        with pytest.raises(SchemaError, match="expected a JSON object, got list"):
+            reader(path)
+
+    def test_text_that_is_not_utf8_rejected_at_its_line(self, tmp_path):
+        path = tmp_path / "frames.jsonl"
+        write_lane_frames(path, sample_frames())
+        data = bytearray(path.read_bytes())
+        data[data.rindex(b'"lanes"') + 2] = 0xFF  # inside the last record
+        path.write_bytes(bytes(data))
+        with pytest.raises(SchemaError, match=r":3: malformed record"):
+            read_lane_frames(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("frame_id", "0", "frame_id must be an int"),
+        ("frame_id", 1.0, "frame_id must be an int"),
+        ("frame_id", True, "frame_id must be an int"),
+        ("frame_id", None, "frame_id must be an int"),
+        ("timestamp_s", float("nan"), "timestamp_s must be a finite number"),
+        ("timestamp_s", "0.1", "timestamp_s must be a finite number"),
+        ("ego_pose", [float("nan")] * 16, "ego_pose has non-finite entries"),
+        ("lane id", "a", "lane id must be an int"),
+        ("lane category", 1.5, "lane category must be an int"),
+        ("camera fx", float("nan"), "camera fx must be a finite number"),
+        ("camera extrinsic", [float("inf")] * 16, "camera extrinsic has non-finite entries"),
+        ("lane points", [[10**400, 5.0, 0.0, 1.0], [0.0, 6.0, 0.0, 1.0]], "too large"),
+    ])
+    def test_lane_frame_field_types_rejected(self, tmp_path, field, value, message):
+        path = tmp_path / "frames.jsonl"
+        write_lane_frames(path, sample_frames())
+
+        def edit(record):
+            if field.startswith("lane "):
+                record["lanes"][0][field.split()[1]] = value
+            elif field.startswith("camera "):
+                record["camera"][field.split()[1]] = value
+            else:
+                record[field] = value
+
+        rewrite_record(path, 3, edit)
+        with pytest.raises(SchemaError, match=message):
+            read_lane_frames(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("frame_id", False, "frame_id must be an int"),
+        ("timestamp_s", None, "timestamp_s must be a finite number"),
+        ("category", [1], "detection category must be an int"),
+        ("category", float("inf"), "detection category must be an int"),
+        ("points", [[1.0, 2.0, 3.0]], r"must be a \(k, 2\) array"),
+        ("points", [1.0, 2.0], r"must be a \(k, 2\) array"),
+        ("points", [[10**400, 2.0]], "too large"),
+    ])
+    def test_detection_field_types_rejected(self, tmp_path, field, value, message):
+        path = tmp_path / "dets.jsonl"
+        write_detections(path, [(0, 0.0, [(np.array([[480.0, 600.0], [481.0, 550.0]]), 2)])])
+
+        def edit(record):
+            target = record["detections"][0] if field in ("category", "points") else record
+            target[field] = value
+
+        rewrite_record(path, 2, edit)
+        with pytest.raises(SchemaError, match=message):
+            read_detections(path)
+
+
 class TestDetections:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "dets.jsonl"
@@ -97,6 +208,12 @@ class TestDetections:
         np.testing.assert_allclose(frames[0][2][0][0], [[480.0, 600.0], [481.0, 550.0]])
         assert frames[0][2][0][1] == 2
         assert frames[1][2] == []
+
+    def test_detection_without_points_round_trips(self, tmp_path):
+        path = tmp_path / "dets.jsonl"
+        write_detections(path, [(0, 0.0, [(np.zeros((0, 2)), 1)])])
+        frames, _ = read_detections(path)
+        assert frames[0][2][0][0].size == 0 and frames[0][2][0][1] == 1
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_pixels_rejected(self, tmp_path, bad):
