@@ -12,22 +12,44 @@ trajectory geometry plus the filtered offsets.
 
 Lifting and locating cost grows linearly with the frame count, because
 each frame tests its rays and points only against a window of nearby
-segments, chosen so that the window changes no output:
+segments, and lifting intersects only the rays that can give a kept
+point.  Neither changes any output:
 
-* Lifting keeps a hit only if it lies at most `near_range` ahead, so its
-  ray parameter t is at most R = max over rays of
-  (near_range - origin_y) / dir_y, in the vehicle frame.  Every point of
-  a segment's validity strip is at least the along-track gap between the
-  camera and the segment span away from the camera, so a segment whose
-  gap exceeds R holds no kept hit.  A ray whose nearest hit over all
-  segments lies beyond R is dropped with or without the window, so the
-  result is exact, also where the trajectory comes back near an old
-  segment.  A ray with dir_y <= 0 has no such bound, and its frame scans
-  every segment.
+* Lifting keeps a hit only if it lies at most `near_range` ahead, so a
+  ray's parameter t is at most its own t_max = (near_range - origin_y) /
+  dir_y, in the vehicle frame, and at most R = max over rays of t_max.
+  Every point of a segment's validity strip is at least the along-track
+  gap between the camera and the segment span away from the camera, so
+  a segment whose gap exceeds R holds no kept hit.  A ray whose nearest
+  hit over all segments lies beyond R is dropped with or without the
+  window, so the result is exact, also where the trajectory comes back
+  near an old segment.  A ray with dir_y <= 0 has no such bound, and its
+  frame scans every segment.
+* Within the window, a ray is intersected only if some segment's plane
+  crossing t = n.(p_k - o) / n.d can satisfy 0 < t <= B, with
+  B = t_max (1 + 1e-9) + 1e-6; rays with dir_y <= 0 keep t_max = inf.
+  The test multiplies instead of dividing: with the sign of the
+  numerator folded into the normal, f = sign(n.(p_k - o)) n.d, it keeps
+  the ray if B (f + 1e-14) >= |n.(p_k - o)|.  The numerators are the
+  ones `_intersect_rays` computes.  Its denominators come from another
+  evaluation order, but for unit vectors the two differ by far less
+  than 1e-14.  A valid hit needs |n.d| above the parallel threshold and
+  t > 1e-9, so f > 0, and every valid hit of a skipped ray has t > B up
+  to one rounding.  Its vehicle-frame y then exceeds `near_range` by
+  about 1e-9 (near_range - origin_y) + 1e-6 dir_y or more.  With
+  coordinates of kilometres, that is orders of magnitude above the
+  rounding of the y that the near-range check computes, and the check
+  drops it anyway.  `_intersect_rays` treats each row on its own, so
+  the rows it is given come out bit-identical, and skipped rows stay
+  NaN.
 * Locating points prunes segments with the triangle inequality
   dist(p, seg) >= dist(c, seg) - |p - c| around the points' centroid c;
   a pruned segment is strictly farther than the nearest one, so the
-  argmin and its lowest-index tie rule are unchanged.
+  argmin and its lowest-index tie rule are unchanged.  The tracker
+  locates all of a frame's lines in one call: the window of the combined
+  points is built by the same argument, which holds for any point set,
+  and each (point, segment) distance is computed the same way, so every
+  line gets the (arclength, offset) that its own call would give.
 """
 
 from __future__ import annotations
@@ -40,6 +62,7 @@ from .temporal import EgoPose, apply_transform
 
 _PARALLEL_EPS = 1e-12
 _WINDOW_SLACK = 1e-6  # m; widens segment windows past floating-point rounding
+_DOT_SLACK = 1e-14  # bounds the rounding gap between two evaluations of a unit-vector dot product
 
 
 @dataclass(frozen=True)
@@ -91,11 +114,6 @@ class CameraModel:
         ])
         dirs = dirs_cam @ self.extrinsic[:3, :3].T
         return self.extrinsic[:3, 3], dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-
-    def pixel_ray_vehicle(self, pixel) -> tuple[np.ndarray, np.ndarray]:
-        """Ray (origin, unit direction) of a pixel, in vehicle coordinates."""
-        origin, directions = self.pixel_rays([pixel])
-        return origin, directions[0]
 
     def project_vehicle_points(self, points_vehicle: np.ndarray, min_depth: float = 0.1):
         """Project vehicle-frame points to pixels; returns (pixels, in_front mask)."""
@@ -267,6 +285,13 @@ def _world_rays(cam: CameraModel, pixels, pose: EgoPose):
     return apply_transform(pose.matrix, origin_v[None, :]), dirs_v @ pose.rotation.T, dirs_v
 
 
+def _plane_numerators(surf: SurfaceModel, origins: np.ndarray, segments) -> np.ndarray:
+    """n.(p_k - o) of the segment planes, (rays or 1, k): the numerators of
+    the ray parameters t = n.(p_k - o) / n.d where rays cross the planes."""
+    rel = surf.origins[segments][None, :, :] - np.atleast_2d(origins)[:, None, :]
+    return np.einsum("rkc,kc->rk", rel, surf.normals[segments])
+
+
 def _intersect_rays(surf: SurfaceModel, origins: np.ndarray, directions: np.ndarray,
                     segments=slice(None)):
     """Vectorized nearest valid ray-plane hit per ray; NaN rows where none exists.
@@ -283,8 +308,7 @@ def _intersect_rays(surf: SurfaceModel, origins: np.ndarray, directions: np.ndar
         return np.full(d.shape, np.nan)
     lo, hi = (b[segments] for b in surf.spans())
     denom = np.einsum("kc,rc->rk", normals, d)
-    rel = seg_origins[None, :, :] - o[:, None, :]
-    numer = np.einsum("rkc,kc->rk", rel, normals)
+    numer = _plane_numerators(surf, o, segments)
     with np.errstate(divide="ignore", invalid="ignore"):
         t_hit = numer / denom
     ok = (np.abs(denom) > _PARALLEL_EPS) & (t_hit > 1e-9)
@@ -300,21 +324,6 @@ def _intersect_rays(surf: SurfaceModel, origins: np.ndarray, directions: np.ndar
     return out
 
 
-def ray_surface_intersect(cam: CameraModel, pixel, pose: EgoPose, surf: SurfaceModel):
-    """World point where a pixel's visual ray meets the surface, or None.
-
-    The ray is cast from the camera center through the pixel; among the
-    segments it crosses inside their validity interval, the nearest hit
-    wins.  Rays clearing every plane (e.g. at the horizon) return None.
-    """
-    u, v = float(pixel[0]), float(pixel[1])
-    if not (0 <= u <= cam.width and 0 <= v <= cam.height):
-        raise ValueError(f"pixel ({u}, {v}) outside image bounds")
-    origin_w, dirs_w, _ = _world_rays(cam, [(u, v)], pose)
-    hit = _intersect_rays(surf, origin_w, dirs_w)[0]
-    return None if np.any(np.isnan(hit)) else hit
-
-
 def lift_detections(detections, cam: CameraModel, pose: EgoPose, surf: SurfaceModel,
                     near_range: float = 25.0):
     """Lift 2D polylines to world-frame 3D lines on the road surface.
@@ -324,7 +333,8 @@ def lift_detections(detections, cam: CameraModel, pose: EgoPose, surf: SurfaceMo
     (points (k, 3) in world frame, category) per detection; detections
     whose points all fall out of range come back empty.  All rays of the
     call are tested together against the segments that a kept hit can
-    lie on (see the module docstring).
+    lie on, and only rays with a plane crossing inside their own range
+    are intersected (see the module docstring).
     """
     pixels = [np.asarray(px, dtype=float).reshape(-1, 2) for px, _ in detections]
     counts = [len(px) for px in pixels]
@@ -333,8 +343,17 @@ def lift_detections(detections, cam: CameraModel, pose: EgoPose, surf: SurfaceMo
     origin_w, dirs_w, dirs_v = _world_rays(cam, np.concatenate(pixels), pose)
     dir_y = dirs_v[:, 1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        reach = np.max(np.where(dir_y > 0, (near_range - cam.extrinsic[1, 3]) / dir_y, np.inf))
-    hits = _intersect_rays(surf, origin_w, dirs_w, surf.segments_within(origin_w[0], reach))
+        t_max = np.where(dir_y > 0, (near_range - cam.extrinsic[1, 3]) / dir_y, np.inf)
+    window = surf.segments_within(origin_w[0], np.max(t_max))
+    numer = _plane_numerators(surf, origin_w, window)
+    # t = |numer| / facing, with the sign of numer folded into the normals
+    facing = dirs_w @ (np.sign(numer).T * surf.normals[window]).T
+    bound = t_max[:, None] * (1.0 + 1e-9) + 1e-6
+    with np.errstate(invalid="ignore"):
+        crossing = bound * (facing + _DOT_SLACK) >= np.abs(numer)
+    cast = np.flatnonzero(crossing.any(axis=1))
+    hits = np.full(dirs_w.shape, np.nan)
+    hits[cast] = _intersect_rays(surf, origin_w, dirs_w[cast], window)
     good = ~np.isnan(hits).any(axis=1)
     local = apply_transform(pose.inverse_matrix(), np.where(good[:, None], hits, 0.0))
     good &= local[:, 1] <= near_range
@@ -390,9 +409,8 @@ class LineTracker:
         self.tracks: list[Track] = []
         self._next_id = 0
 
-    def _station_measurements(self, points_world: np.ndarray):
-        """Bin a line's points to stations; returns (station indices, mean offsets)."""
-        lam, offset = self.surf.locate(points_world)
+    def _station_measurements(self, lam: np.ndarray, offset: np.ndarray):
+        """Bin one line's located points to stations; returns (station indices, mean offsets)."""
         idx = np.clip(np.round(lam / self.spacing).astype(int), 0, self.stations.size - 1)
         order = np.argsort(idx, kind="stable")
         idx, offset = idx[order], offset[order]
@@ -407,15 +425,24 @@ class LineTracker:
         return float(np.mean(np.abs(offsets[common] - track.offsets[stations[common]])))
 
     def step(self, lines) -> list[int]:
-        """Associate and filter one frame's lifted lines; returns the track id per line."""
+        """Associate and filter one frame's lifted lines; returns the track id per line.
+
+        All lines are located in one `SurfaceModel.locate` call (see the
+        module docstring), then associated one by one in input order.
+        """
+        lines = [(np.asarray(points, dtype=float), category) for points, category in lines]
+        observed = [points for points, _ in lines if points.shape[0]]
+        if observed:
+            bounds = np.cumsum([len(points) for points in observed])[:-1]
+            lam, offset = self.surf.locate(np.concatenate(observed))
+            located = zip(np.split(lam, bounds), np.split(offset, bounds))
         assignments = []
         claimed = set()
         for points_world, category in lines:
-            points_world = np.asarray(points_world, dtype=float)
             if points_world.shape[0] == 0:
                 assignments.append(-1)
                 continue
-            stations, offsets = self._station_measurements(points_world)
+            stations, offsets = self._station_measurements(*next(located))
             best, best_dist = None, self.gate
             for track in self.tracks:
                 if track.track_id in claimed:

@@ -260,7 +260,10 @@ def cmd_spline(args) -> int:
                 keep = (pts[:, 1] >= cfg.y_start) & (pts[:, 1] <= cfg.y_end)
                 if np.count_nonzero(keep) < cfg.m:
                     continue
-                control = splines.fit_control_points(pts[keep], cfg)
+                try:
+                    control = splines.fit_control_points(pts[keep], cfg)
+                except splines.RankDeficientFit:
+                    continue  # e.g. a lane that ends before the last knot span
                 lanes.append(Lane(lane_id=lane.lane_id, category=lane.category,
                                   points=splines.evaluate_curve(control, basis)))
             written += 1
@@ -341,7 +344,7 @@ def cmd_temporal_demo(args) -> int:
     occl_frames = int(opts.get("occlusion-frames", 30))
     perturb = float(opts.get("perturb", 0.0))
     seed = int(opts.get("seed", 0))
-    weights = losses.LossWeights(**opts.config.get("weights", {}))
+    weights = losses.LossWeights.from_config(opts.config.get("weights", {}))
 
     spec = synth.SceneSpec(num_lanes=n_lanes, frames=n_frames, seed=seed,
                            curvature=(0.0,), elevation=(0.0, grade))

@@ -14,8 +14,9 @@ against a target in one (samples, m) @ (proposals, m, 4) product.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -229,6 +230,20 @@ class LossWeights:
     spatial_smooth: float = 0.1
     spatial_curvature: float = 0.1
     temporal: float = 0.1
+
+    @classmethod
+    def from_config(cls, values) -> "LossWeights":
+        """Weights from a config mapping of field names to finite numbers; others keep defaults."""
+        if not isinstance(values, dict):
+            raise ValueError(f"weights: expected a JSON object, got {type(values).__name__}")
+        names = [f.name for f in fields(cls)]
+        unknown = sorted(set(values) - set(names))
+        if unknown:
+            raise ValueError(f"weights: unknown names {unknown}; known: {names}")
+        for name, value in values.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ValueError(f"weights: {name} must be a finite number, got {value!r}")
+        return cls(**values)
 
 
 @dataclass

@@ -218,11 +218,17 @@ def control_points_from_columns(cfg: CurveConfig, x, z, v) -> np.ndarray:
     return np.column_stack([x, cfg.control_y, z, v])
 
 
+class RankDeficientFit(ValueError):
+    """The samples' y positions cannot fix every control point."""
+
+
 def fit_control_points(dense: np.ndarray, cfg: CurveConfig) -> np.ndarray:
     """Least-squares control points reproducing dense (x, y, z, v) samples.
 
     Solves basis @ P ~= dense for the x, z, v columns; the y column stays
     fixed uniform.  Visibility is clamped to [0, 1] after the solve.
+    Raises `RankDeficientFit` when the samples leave a control point
+    undetermined, e.g. when they stop short of the last knot span.
     """
     dense = np.asarray(dense, dtype=float)
     if dense.ndim != 2 or dense.shape[1] != 4:
@@ -233,6 +239,7 @@ def fit_control_points(dense: np.ndarray, cfg: CurveConfig) -> np.ndarray:
     basis = basis_matrix(cfg.m, args, order=0)
     solution, _, rank, _ = np.linalg.lstsq(basis.matrix, dense[:, [0, 2, 3]], rcond=None)
     if rank < cfg.m:
-        raise ValueError(f"rank-deficient fit: rank {rank} < {cfg.m} (too few distinct y positions)")
+        raise RankDeficientFit(f"rank-deficient fit: rank {rank} < {cfg.m} "
+                               "(too few distinct y positions)")
     x, z, v = solution[:, 0], solution[:, 1], np.clip(solution[:, 2], 0.0, 1.0)
     return control_points_from_columns(cfg, x, z, v)

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
+from lanekit import autolabel, synth
 from lanekit.autolabel import (
     CameraModel,
     LineTracker,
+    Track,
     Trajectory,
     _intersect_rays,
     build_surface,
     emit_frame_labels,
     lift_detections,
-    ray_surface_intersect,
 )
 from lanekit.temporal import EgoPose, apply_transform
 
@@ -106,20 +107,20 @@ class TestRayIntersection:
         # ray direction (0, 1, -0.1) in the vehicle frame crosses z=0 at y=15
         # pixel for that direction: y_cam/z_cam = 0.1 -> v = cy + fy*0.1
         pixel = (cam.cx, cam.cy + cam.fy * 0.1)
-        hit = ray_surface_intersect(cam, pixel, EgoPose.identity(), surf)
-        np.testing.assert_allclose(hit, [0.0, 15.0, 0.0], atol=1e-9)
+        origin, dirs = cam.pixel_rays([pixel])
+        hit = _intersect_rays(surf, origin[None, :], dirs)
+        np.testing.assert_allclose(hit, [[0.0, 15.0, 0.0]], atol=1e-9)
+        (lifted, _), = lift_detections([(np.array([pixel]), 0)], cam, EgoPose.identity(), surf)
+        np.testing.assert_array_equal(lifted, hit)
 
     def test_horizon_ray_misses(self):
         surf = build_surface(straight_trajectory(n=30))
         cam = CameraModel.level_camera(height_m=1.5)
-        assert ray_surface_intersect(cam, (cam.cx, cam.cy), EgoPose.identity(), surf) is None
-        assert ray_surface_intersect(cam, (cam.cx, cam.cy - 50), EgoPose.identity(), surf) is None
-
-    def test_out_of_bounds_pixel_rejected(self):
-        surf = build_surface(straight_trajectory())
-        cam = CameraModel.level_camera()
-        with pytest.raises(ValueError):
-            ray_surface_intersect(cam, (-5.0, 100.0), EgoPose.identity(), surf)
+        pixels = np.array([(cam.cx, cam.cy), (cam.cx, cam.cy - 50)])
+        origin, dirs = cam.pixel_rays(pixels)
+        assert np.isnan(_intersect_rays(surf, origin[None, :], dirs)).all()
+        (lifted, _), = lift_detections([(pixels, 0)], cam, EgoPose.identity(), surf)
+        assert lifted.shape == (0, 3)
 
     def test_grade_change_matches_exhaustive_segment_check(self):
         # two-part profile: flat then 5% climb
@@ -132,10 +133,10 @@ class TestRayIntersection:
         surf = build_surface(traj)
         cam = CameraModel.level_camera(height_m=1.5)
         rng = np.random.default_rng(3)
-        for _ in range(50):
-            pixel = (rng.uniform(100, 860), rng.uniform(cam.cy + 20, 700))
-            hit = ray_surface_intersect(cam, pixel, traj.poses[0], surf)
-            origin_v, dir_v = cam.pixel_ray_vehicle(pixel)
+        pixels = np.column_stack([rng.uniform(100, 860, 50), rng.uniform(cam.cy + 20, 700, 50)])
+        origin_v, dirs_v = cam.pixel_rays(pixels)  # the first pose is the identity
+        hits = _intersect_rays(surf, origin_v[None, :], dirs_v)
+        for hit, dir_v in zip(hits, dirs_v):
             # exhaustive: intersect every plane, keep valid ones, take nearest
             best = None
             for k in range(surf.segment_count):
@@ -153,7 +154,7 @@ class TestRayIntersection:
                     if best is None or t < best[0]:
                         best = (t, point)
             if best is None:
-                assert hit is None
+                assert np.isnan(hit).all()
             else:
                 np.testing.assert_allclose(hit, best[1], atol=1e-8)
 
@@ -548,3 +549,161 @@ class TestSegmentWindowExactness:
                 position = surf.origins[k] + (s - surf.arclength[k]) * surf.directions[k]
                 want[i] = position + track.offsets[station] * surf.laterals[k]
             np.testing.assert_array_equal(tracker.track_polyline(track), want)
+
+
+def rows_landing_at(cam, pose, surf, targets, columns=17):
+    """Pixels whose full-scan hits land at vehicle-frame y = each target,
+    found per image column by bisection on the row."""
+    u = np.repeat(np.linspace(0.0, cam.width, columns), len(targets))
+    want = np.tile(targets, columns)
+
+    def miss(v):
+        origin, dirs_v = cam.pixel_rays(np.column_stack([u, v]))
+        origins = np.repeat(apply_transform(pose.matrix, origin[None, :]), len(v), axis=0)
+        hits, _ = full_scan_intersect(surf, origins, dirs_v @ pose.rotation.T)
+        y = apply_transform(pose.inverse_matrix(), np.nan_to_num(hits))[:, 1]
+        # a ray that clears every plane lands at infinity in its own direction
+        return np.where(np.isnan(hits[:, 0]), np.copysign(np.inf, dirs_v[:, 1]), y) - want
+
+    top, bottom = np.zeros_like(u), np.full_like(u, float(cam.height))
+    miss_top = miss(top)
+    for _ in range(60):
+        mid = 0.5 * (top + bottom)
+        miss_mid = miss(mid)
+        upper = np.sign(miss_mid) == np.sign(miss_top)
+        top, miss_top = np.where(upper, mid, top), np.where(upper, miss_mid, miss_top)
+        bottom = np.where(upper, bottom, mid)
+    return np.column_stack([u, bottom])
+
+
+class TestPerRayBound:
+    """Rays that cannot land within near_range are not intersected, and labels do not move."""
+
+    @pytest.mark.parametrize("scene,kind,near_range", [
+        ("flat", "level", 25.0), ("flat", "pitched", 25.0), ("hairpin", "level", 25.0),
+        ("hairpin", "pitched", 25.0), ("hairpin", "rear", 4.0)])
+    def test_hits_at_near_range_equal_full_scan(self, scene, kind, near_range):
+        traj = straight_trajectory(n=40) if scene == "flat" else hairpin_trajectory(drop=0.1)
+        surf = build_surface(traj)
+        cam = camera(kind)
+        targets = near_range + np.linspace(-1e-6, 1e-6, 9)
+        inside = outside = 0
+        for frame in (0, 10, 20, 28, 33):
+            pose = traj.poses[frame]
+            pixels = rows_landing_at(cam, pose, surf, targets)
+            detections = [(pixels[:60], 1), (pixels[60:], 2)]
+            got = lift_detections(detections, cam, pose, surf, near_range=near_range)
+            want = full_scan_lift(detections, cam, pose, surf, near_range=near_range)
+            for (g, _), (w, _) in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+            origin, dirs_v = cam.pixel_rays(pixels)
+            origins = np.repeat(apply_transform(pose.matrix, origin[None, :]), len(pixels), axis=0)
+            hits, _ = full_scan_intersect(surf, origins, dirs_v @ pose.rotation.T)
+            y = apply_transform(pose.inverse_matrix(), np.nan_to_num(hits))[:, 1]
+            close = np.abs(y - near_range) <= 1.5e-6
+            inside += int((close & (y <= near_range)).sum())
+            outside += int((close & (y > near_range)).sum())
+        # many rows land within a micrometre of the boundary, on both sides of it
+        assert inside >= 50 and outside >= 50
+
+    @pytest.fixture
+    def rows(self, monkeypatch):
+        """Row counts of every `_intersect_rays` call."""
+        rows = []
+        intersect = autolabel._intersect_rays
+        monkeypatch.setattr(autolabel, "_intersect_rays",
+                            lambda s, o, d, seg: rows.append(len(d)) or intersect(s, o, d, seg))
+        return rows
+
+    def test_rear_camera_casts_every_crossing_ray(self, rows):
+        traj = hairpin_trajectory(drop=0.1)
+        surf = build_surface(traj)
+        cam = camera("rear")
+        detections = pixel_grid(cam)
+        pose = traj.poses[20]
+        got = lift_detections(detections, cam, pose, surf, near_range=25.0)
+        want = full_scan_lift(detections, cam, pose, surf, near_range=25.0)
+        for (g, _), (w, _) in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        origin, dirs_v = cam.pixel_rays(np.concatenate([p for p, _ in detections]))
+        origins = np.repeat(apply_transform(pose.matrix, origin[None, :]), len(dirs_v), axis=0)
+        hits, _ = full_scan_intersect(surf, origins, dirs_v @ pose.rotation.T)
+        # no bound on t: every ray with a hit is intersected, kept or not
+        assert rows[0] >= (~np.isnan(hits[:, 0])).sum() > sum(len(w) for w, _ in want)
+
+    def test_intersected_rays_yield_kept_points(self, rows):
+        world = synth.gen_scene(synth.SceneSpec(num_lanes=3, frames=20, seed=7, lane_length=300.0,
+                                                curvature=(0.0, 0.0, 5e-4), elevation=(0.0, 0.05)))
+        cam = CameraModel.level_camera()
+        surf = build_surface(world.trajectory)
+        rays = kept = 0
+        for frame in range(0, 20, 2):
+            detections = synth.render_2d(world, frame, cam, pixel_noise_sigma=1.0)
+            lifted = lift_detections(detections, cam, world.trajectory.poses[frame], surf)
+            rays += sum(len(p) for p, _ in detections)
+            kept += sum(len(p) for p, _ in lifted)
+        assert kept > 0
+        assert kept >= 0.95 * sum(rows)  # every ray used to be intersected: yield about 0.16
+        assert sum(rows) < 0.5 * rays
+
+
+def per_line_step(tracker, lines):
+    """Reference for `LineTracker.step`: each line located on its own, then associated in order."""
+    assignments, claimed = [], set()
+    for points, category in lines:
+        if len(points) == 0:
+            assignments.append(-1)
+            continue
+        lam, offset = tracker.surf.locate(points)
+        idx = np.clip(np.round(lam / tracker.spacing).astype(int), 0, tracker.stations.size - 1)
+        stations = np.unique(idx)
+        offsets = np.array([offset[idx == s].mean() for s in stations])
+        best, best_dist = None, tracker.gate
+        for track in tracker.tracks:
+            if track.track_id not in claimed:
+                dist = tracker._distance(track, stations, offsets)
+                if dist < best_dist:
+                    best, best_dist = track, dist
+        if best is None:
+            best = Track(track_id=tracker._next_id, offsets=np.full(tracker.stations.size, np.nan),
+                         variances=np.full(tracker.stations.size, np.inf),
+                         counts=np.zeros(tracker.stations.size, dtype=int))
+            tracker._next_id += 1
+            tracker.tracks.append(best)
+        claimed.add(best.track_id)
+        tracker._update(best, stations, offsets, category)
+        assignments.append(best.track_id)
+    return assignments
+
+
+class TestOneLocatePerFrame:
+    @pytest.mark.parametrize("drop", [0.0, 0.1])
+    def test_step_equals_per_line_reference_on_hairpin(self, drop, monkeypatch):
+        surf = build_surface(hairpin_trajectory(drop=drop))
+        batched, reference = LineTracker(surf), LineTracker(surf)
+        calls = []
+        locate = surf.locate
+        monkeypatch.setattr(batched.surf, "locate", lambda p: calls.append(len(p)) or locate(p))
+        rng = np.random.default_rng(17)
+        y = np.arange(1.0, 41.0, 2.0)
+        for frame in range(12):
+            start = 2.0 * frame
+            lines = [
+                (np.column_stack([rng.normal(0.2, 0.05, 20), y + start, np.zeros(20)]), 1),
+                (np.zeros((0, 3)), 2),
+                # midway between the legs: every point ties between an outbound and a return segment
+                (np.column_stack([np.full(20, 3.0), y + start, np.zeros(20)]), 2),
+                (np.column_stack([rng.normal(5.8, 0.05, 20), y + start, -drop * rng.uniform(0, 1, 20)]),
+                 3 if frame % 3 else 1),
+            ]
+            calls.clear()
+            got = batched.step(lines)
+            assert calls == [60]
+            assert got == per_line_step(reference, lines)
+        assert len(batched.tracks) == len(reference.tracks) >= 3
+        for a, b in zip(batched.tracks, reference.tracks):
+            assert a.track_id == b.track_id and a.hits == b.hits
+            assert a.category_votes == b.category_votes
+            np.testing.assert_array_equal(a.offsets, b.offsets)
+            np.testing.assert_array_equal(a.variances, b.variances)
+            np.testing.assert_array_equal(a.counts, b.counts)

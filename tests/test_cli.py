@@ -2,9 +2,10 @@ import json
 import shutil
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from lanekit import attention, cli
+from lanekit import attention, cli, splines
 from lanekit.cli import main
 from lanekit.frames import (
     Lane,
@@ -326,6 +327,33 @@ class TestSplineCommand:
         assert not (tmp_path / "fitted.jsonl.tmp").exists()
 
 
+    def test_lane_short_of_the_last_knot_span_is_skipped(self, tmp_path, capsys):
+        # default flags: 20 control points over [3, 103] m; the lanes end 120 m along the road,
+        # so in late frames they stop short of the last knot span
+        run_synth(tmp_path, frames=40)
+        out = tmp_path / "fitted.jsonl"
+        assert main(["spline", "--input", str(tmp_path / "scene.gt.jsonl"), "--out", str(out)]) == 0
+        cfg = splines.CurveConfig()
+        gt_frames, _ = read_lane_frames(tmp_path / "scene.gt.jsonl")
+        fitted, _ = read_lane_frames(out)
+        assert [f.frame_id for f in fitted] == [f.frame_id for f in gt_frames]
+        short = 0
+        for gf, ff in zip(gt_frames, fitted):
+            want = []
+            for lane in gf.lanes:
+                y = lane.points[:, 1]
+                y = y[(y >= cfg.y_start) & (y <= cfg.y_end)]
+                if y.size < cfg.m:
+                    continue
+                basis = splines.basis_matrix(cfg.m, splines.arg_for_y(y, cfg)).matrix
+                if np.linalg.matrix_rank(basis) < cfg.m:
+                    short += 1
+                    continue
+                want.append(lane.lane_id)
+            assert [lane.lane_id for lane in ff.lanes] == want
+        assert short > 0 and sum(len(f.lanes) for f in fitted) > 0
+
+
 class TestBoundedMemory:
     """`eval` and `spline` hold one frame at a time, so their peak does not grow with frames."""
 
@@ -371,6 +399,33 @@ class TestTemporalDemoCommand:
         assert code == 0
         clean = json.loads(capsys.readouterr().out)["total_temporal_loss"]
         assert perturbed > clean
+
+    @pytest.mark.parametrize("weights,message", [
+        ("[1]", "expected a JSON object, got list"),
+        ('{"bogus": 1}', "unknown names ['bogus']"),
+        ('{"temporal": "0.5"}', "temporal must be a finite number"),
+        ('{"temporal": NaN}', "temporal must be a finite number"),
+        ('{"regression": 1e999}', "regression must be a finite number"),
+        ('{"spatial_smooth": true}', "spatial_smooth must be a finite number"),
+    ])
+    def test_bad_weights_fail_cleanly(self, tmp_path, capsys, weights, message):
+        config = tmp_path / "config.json"
+        config.write_text('{"weights": %s}' % weights)
+        assert main(["temporal-demo", "--frames", "3", "--config", str(config)]) == 2
+        assert message in json.loads(capsys.readouterr().err)["error"]
+
+    def test_weights_from_config(self, tmp_path, capsys):
+        traces = {}
+        for temporal in (0.1, 2):
+            config, out = tmp_path / "config.json", tmp_path / f"trace{temporal}.json"
+            config.write_text(json.dumps({"weights": {"temporal": temporal}}))
+            assert main(["temporal-demo", "--frames", "8", "--perturb", "0.3", "--occlusion-start", "2",
+                         "--config", str(config), "--out", str(out)]) == 0
+            traces[temporal] = json.loads(out.read_text())["traces"]
+        default = traces[0.1]
+        for a, b in zip(default, traces[2]):
+            assert b["weighted_total"] - a["weighted_total"] == pytest.approx(1.9 * a["temporal_loss"])
+        assert any(t["temporal_loss"] > 0 for t in default)
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
