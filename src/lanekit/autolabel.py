@@ -398,6 +398,8 @@ class LineTracker:
     def __init__(self, surf: SurfaceModel, station_spacing: float = 2.0, gate: float = 1.0,
                  min_hits: int = 3, measurement_var: float = 0.01,
                  process_var: float = 1e-6, lead: float = 260.0):
+        if not station_spacing > 0:  # stations are binned by dividing by the spacing
+            raise ValueError(f"station_spacing must be > 0, got {station_spacing!r}")
         self.surf = surf
         self.spacing = station_spacing
         self.gate = gate

@@ -8,10 +8,16 @@ Subcommands:
   masks          attention mask statistics and active-fraction report
   temporal-demo  memory queue + moving-average consistency losses over a synthetic sequence
 
-Every subcommand accepts --config pointing at a JSON file that supplies
-defaults; explicit flags override file values.  All runs are
+Every subcommand accepts --config pointing at a JSON object that supplies
+defaults; explicit flags override file values.  Its keys are the flag
+names without the leading "--" and take the flag's type: an int, a
+finite number, or (for --curvature) a list of finite numbers, where one
+number stands for a one-element list.  `temporal-demo` also reads
+"weights", an object of LossWeights fields, which has no flag.  Unknown
+keys and values of the wrong type exit with code 2.  All runs are
 deterministic given config and seed, and every output file embeds the
-schema version plus the config that produced it.
+schema version plus the resolved config: every option's value as used,
+which given back as --config reproduces the run.
 """
 
 from __future__ import annotations
@@ -33,52 +39,130 @@ def _fail(message: str) -> int:
     return 2
 
 
-class _Options:
-    """Resolution order: explicit flag, config-file entry, built-in default."""
-
-    def __init__(self, args):
-        self.args = args
-        self.config = {}
-        if getattr(args, "config", None):
-            with open(args.config, "r", encoding="utf-8") as fh:
-                self.config = json.load(fh)
-            if not isinstance(self.config, dict):
-                raise ValueError(f"{args.config}: expected a JSON object, "
-                                 f"got {type(self.config).__name__}")
-        self.resolved = {}
-
-    def get(self, name, default):
-        value = getattr(self.args, name.replace("-", "_"), None)
-        if value is None:
-            value = self.config.get(name, default)
-        if isinstance(default, (list, tuple)) and not isinstance(value, (list, tuple)):
-            value = [value]
-        self.resolved[name] = value
-        return value
+def _float(value, name: str) -> float:
+    try:
+        return float(frames._finite(value, name))
+    except OverflowError as exc:  # an int beyond the float range
+        raise ValueError(f"{name}: {exc}") from None
 
 
-def _default_camera() -> CameraModel:
-    return CameraModel.level_camera()
+def _floats(value, name: str) -> tuple:
+    return tuple(_float(v, name) for v in (value if isinstance(value, list) else [value]))
 
 
-def cmd_synth(args) -> int:
-    opts = _Options(args)
+def _weights(value, name: str) -> dict:
+    return vars(losses.LossWeights.from_config(value))
+
+
+# The kinds that have a flag, with their argparse keywords.
+_FLAG_KINDS = {frames._int: {"type": int}, _float: {"type": float},
+               _floats: {"type": float, "nargs": "*"}}
+
+# Each subcommand's tunable options: name -> (kind, default[, help]).  A
+# kind checks and converts a flag or config value, naming the option.
+OPTIONS = {
+    "synth": {
+        "num-lanes": (frames._int, 4),
+        "lane-spacing": (_float, 3.5),
+        "curvature": (_floats, [0.0, 0.0, 0.0],
+                      "centerline x(y) polynomial coefficients, low order first"),
+        "grade": (_float, 0.0, "constant elevation slope dz/dy"),
+        "frames": (frames._int, 100),
+        "speed": (_float, 10.0),
+        "frame-interval": (_float, 0.1),
+        "seed": (frames._int, 0),
+        "lane-length": (_float, 400.0),
+        "pixel-noise": (_float, 0.0),
+        "label-range": (_float, 250.0),
+    },
+    "autolabel": {
+        "near-range": (_float, 25.0),
+        "label-range": (_float, 250.0),
+        "station-spacing": (_float, 2.0),
+        "gate": (_float, 1.0),
+        "min-hits": (frames._int, 3),
+    },
+    "eval": {
+        "threshold": (_float, 1.5),
+        "match-fraction": (_float, 0.75),
+        "y-min": (_float, 0.0),
+        "y-max": (_float, 100.0),
+        "y-step": (_float, 2.0),
+        "chamfer-threshold": (_float, 0.3),
+    },
+    "spline": {
+        "control-points": (frames._int, 20),
+        "y-start": (_float, 3.0),
+        "y-end": (_float, 103.0),
+        "samples": (frames._int, 100),
+    },
+    "masks": {
+        "lanes": (frames._int, 40),
+        "points": (frames._int, 20),
+        "history": (frames._int, 0, "memory frames (0 disables memory)"),
+        "keep": (frames._int, 10, "lanes kept per memory frame"),
+        "k-nearest": (frames._int, 10),
+        "seed": (frames._int, 0),
+    },
+    "temporal-demo": {
+        "frames": (frames._int, 120),
+        "lanes": (frames._int, 4),
+        "control-points": (frames._int, 20),
+        "grade": (_float, 0.0),
+        "alpha": (_float, 0.5),
+        "history": (frames._int, 3),
+        "keep": (frames._int, 10),
+        "occlusion-start": (frames._int, 40),
+        "occlusion-frames": (frames._int, 30),
+        "perturb": (_float, 0.0),
+        "seed": (frames._int, 0),
+        "weights": (_weights, {}),
+    },
+}
+
+
+def _resolve(args) -> dict:
+    """Each option of the subcommand: its flag, else its --config entry, else its default.
+
+    Every value is checked by its option's kind, a config entry also
+    when a flag overrides it, and config keys that name no option are
+    rejected.  The result, in key order, is what the subcommand runs
+    with and records.
+    """
+    table = OPTIONS[args.command]
+    config = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError(f"{args.config}: expected a JSON object, got {type(config).__name__}")
+        unknown = sorted(set(config) - set(table))
+        if unknown:
+            raise ValueError(f"{args.config}: unknown config keys {unknown}; known: {sorted(table)}")
+    resolved = {}
+    for name, (kind, default, *_) in sorted(table.items()):
+        resolved[name] = kind(config[name], f"config key {name!r}") if name in config else kind(default, name)
+        flag = getattr(args, name.replace("-", "_"), None)
+        if flag is not None:
+            resolved[name] = kind(flag, f"--{name}")
+    return resolved
+
+
+def cmd_synth(args, config: dict) -> int:
     spec = synth.SceneSpec(
-        num_lanes=int(opts.get("num-lanes", 4)),
-        lane_spacing=float(opts.get("lane-spacing", 3.5)),
-        curvature=tuple(float(c) for c in opts.get("curvature", (0.0, 0.0, 0.0))),
-        elevation=(0.0, float(opts.get("grade", 0.0))),
-        frames=int(opts.get("frames", 100)),
-        speed=float(opts.get("speed", 10.0)),
-        frame_interval=float(opts.get("frame-interval", 0.1)),
-        seed=int(opts.get("seed", 0)),
-        lane_length=float(opts.get("lane-length", 400.0)),
+        num_lanes=config["num-lanes"],
+        lane_spacing=config["lane-spacing"],
+        curvature=config["curvature"],
+        elevation=(0.0, config["grade"]),
+        frames=config["frames"],
+        speed=config["speed"],
+        frame_interval=config["frame-interval"],
+        seed=config["seed"],
+        lane_length=config["lane-length"],
     )
-    noise = float(opts.get("pixel-noise", 0.0))
-    y_max = float(opts.get("label-range", 250.0))
+    noise, y_max = config["pixel-noise"], config["label-range"]
     world = synth.gen_scene(spec)
-    cam = _default_camera()
-    config = dict(sorted(opts.resolved.items()))
+    cam = CameraModel.level_camera()
 
     frames.write_trajectory(args.out_prefix + ".trajectory.json", world.trajectory, config)
     frames.write_camera(args.out_prefix + ".camera.json", cam, config)
@@ -98,20 +182,14 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_autolabel(args) -> int:
-    opts = _Options(args)
-    near_range = float(opts.get("near-range", 25.0))
-    label_range = float(opts.get("label-range", 250.0))
-    station_spacing = float(opts.get("station-spacing", 2.0))
-    gate = float(opts.get("gate", 1.0))
-    min_hits = int(opts.get("min-hits", 3))
-
+def cmd_autolabel(args, config: dict) -> int:
+    near_range, label_range = config["near-range"], config["label-range"]
     traj = frames.read_trajectory(args.trajectory)
     cam = frames.read_camera(args.camera)
     _, det_frames = frames.iter_detections(args.detections)
     surf = build_surface(traj)
-    tracker = LineTracker(surf, station_spacing=station_spacing, gate=gate,
-                          min_hits=min_hits, lead=label_range + 30.0)
+    tracker = LineTracker(surf, station_spacing=config["station-spacing"], gate=config["gate"],
+                          min_hits=config["min-hits"], lead=label_range + 30.0)
     # Labels need every frame's detections tracked first; keep only what emission needs.
     frame_times = []
     for frame_id, timestamp, detections in det_frames:
@@ -128,7 +206,7 @@ def cmd_autolabel(args) -> int:
                          in emit_frame_labels(tracker, traj.poses[frame_id], max_range=label_range)],
                   camera=cam)
         for frame_id, timestamp in frame_times)
-    frames.write_lane_frames(args.out, label_frames, dict(sorted(opts.resolved.items())))
+    frames.write_lane_frames(args.out, label_frames, config)
     print(json.dumps({"tracks": len(tracker.mature_tracks()), "frames": len(frame_times),
                       "out": args.out}, sort_keys=True))
     return 0
@@ -215,15 +293,14 @@ def _accumulate(cfg: metrics.MatchConfig, pairs) -> metrics.EvalAccumulator:
     return acc
 
 
-def cmd_eval(args) -> int:
-    opts = _Options(args)
+def cmd_eval(args, config: dict) -> int:
     cfg = metrics.MatchConfig(
-        point_threshold=float(opts.get("threshold", 1.5)),
-        match_fraction=float(opts.get("match-fraction", 0.75)),
-        y_min=float(opts.get("y-min", 0.0)),
-        y_max=float(opts.get("y-max", 100.0)),
-        y_step=float(opts.get("y-step", 2.0)),
-        chamfer_threshold=float(opts.get("chamfer-threshold", 0.3)),
+        point_threshold=config["threshold"],
+        match_fraction=config["match-fraction"],
+        y_min=config["y-min"],
+        y_max=config["y-max"],
+        y_step=config["y-step"],
+        chamfer_threshold=config["chamfer-threshold"],
     )
     try:
         acc = _accumulate(cfg, _pairs_in_order(args.pred, args.gt))
@@ -231,7 +308,7 @@ def cmd_eval(args) -> int:
         # Same pairs, added in the same order, so the same report bytes.
         acc = _accumulate(cfg, _pairs_by_id(args.pred, args.gt))
     report = acc.report()
-    report["config"] = dict(sorted(opts.resolved.items()))
+    report["config"] = config
     if args.out:
         frames.write_json_report(args.out, report)
     print(_format_table(report))
@@ -239,14 +316,9 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_spline(args) -> int:
-    opts = _Options(args)
-    cfg = splines.CurveConfig(
-        m=int(opts.get("control-points", 20)),
-        y_start=float(opts.get("y-start", 3.0)),
-        y_end=float(opts.get("y-end", 103.0)),
-        samples=int(opts.get("samples", 100)),
-    )
+def cmd_spline(args, config: dict) -> int:
+    cfg = splines.CurveConfig(m=config["control-points"], y_start=config["y-start"],
+                              y_end=config["y-end"], samples=config["samples"])
     _, in_frames = frames.iter_lane_frames(args.input)
     basis = splines.build_basis(cfg)
     written = 0
@@ -270,7 +342,7 @@ def cmd_spline(args) -> int:
             yield LaneFrame(frame_id=f.frame_id, timestamp_s=f.timestamp_s,
                             pose=f.pose, lanes=lanes, camera=f.camera)
 
-    frames.write_lane_frames(args.out, fitted(), dict(sorted(opts.resolved.items())))
+    frames.write_lane_frames(args.out, fitted(), config)
     print(json.dumps({"frames": written, "out": args.out}, sort_keys=True))
     return 0
 
@@ -287,14 +359,8 @@ def _canonical_lane_points(n_lanes: int, m_points: int, spacing: float = 3.5,
     return pts
 
 
-def cmd_masks(args) -> int:
-    opts = _Options(args)
-    n = int(opts.get("lanes", 40))
-    m = int(opts.get("points", 20))
-    history = int(opts.get("history", 0))
-    keep = int(opts.get("keep", 10))
-    k_nearest = int(opts.get("k-nearest", 10))
-    seed = int(opts.get("seed", 0))
+def cmd_masks(args, config: dict) -> int:
+    n, m, history, keep = config["lanes"], config["points"], config["history"], config["keep"]
 
     if m < 4:  # neighbour tangents come from a cubic spline basis over each lane's points
         raise ValueError(f"--points must be at least 4, got {m}")
@@ -315,46 +381,33 @@ def cmd_masks(args) -> int:
     }
     memory_degree = 0
     if memory_entries:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(config["seed"])
         mem_pts = rng.uniform(-10, 110, size=(memory_entries, 4))
         memory_degree = attention.memory_index(pts.reshape(-1, 4), mem_pts,
-                                               k_nearest=k_nearest).shape[1]
+                                               k_nearest=config["k-nearest"]).shape[1]
         report["memory_row_degree"] = memory_degree
     rows = n * m
     report["active_fraction"] = (rows * (same_degree + neighbor_degree + memory_degree)
                                  / (rows * (n * m + memory_entries)))
     report["sparsity"] = 1.0 - report["active_fraction"]
     if args.out:
-        frames.write_json_report(args.out, {"report": report,
-                                            "config": dict(sorted(opts.resolved.items()))})
+        frames.write_json_report(args.out, {"report": report, "config": config})
     print(json.dumps(report, sort_keys=True))
     return 0
 
 
-def cmd_temporal_demo(args) -> int:
-    opts = _Options(args)
-    n_frames = int(opts.get("frames", 120))
-    n_lanes = int(opts.get("lanes", 4))
-    m = int(opts.get("control-points", 20))
-    grade = float(opts.get("grade", 0.0))
-    alpha = float(opts.get("alpha", 0.5))
-    history = int(opts.get("history", 3))
-    keep = int(opts.get("keep", 10))
-    occl_start = int(opts.get("occlusion-start", 40))
-    occl_frames = int(opts.get("occlusion-frames", 30))
-    perturb = float(opts.get("perturb", 0.0))
-    seed = int(opts.get("seed", 0))
-    weights = losses.LossWeights.from_config(opts.config.get("weights", {}))
-
-    spec = synth.SceneSpec(num_lanes=n_lanes, frames=n_frames, seed=seed,
-                           curvature=(0.0,), elevation=(0.0, grade))
+def cmd_temporal_demo(args, config: dict) -> int:
+    perturb, occl_start = config["perturb"], config["occlusion-start"]
+    weights = losses.LossWeights(**config["weights"])
+    spec = synth.SceneSpec(num_lanes=config["lanes"], frames=config["frames"], seed=config["seed"],
+                           curvature=(0.0,), elevation=(0.0, config["grade"]))
     world = synth.gen_scene(spec)
-    curve_cfg = splines.CurveConfig(m=m, y_start=3.0, y_end=103.0)
+    curve_cfg = splines.CurveConfig(m=config["control-points"], y_start=3.0, y_end=103.0)
     y_grid = np.linspace(curve_cfg.y_start, curve_cfg.y_end, 51)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config["seed"])
 
-    queue = MemoryQueue(capacity=history)
-    tracker = losses.EmaTracker(y_grid, alpha=alpha)
+    queue = MemoryQueue(capacity=config["history"])
+    tracker = losses.EmaTracker(y_grid, alpha=config["alpha"])
     traces = []
     for f in range(spec.frames):
         pose = world.trajectory.poses[f]
@@ -362,7 +415,7 @@ def cmd_temporal_demo(args) -> int:
         controls = []
         for _, _, pts in lanes:
             control = splines.fit_control_points(pts, curve_cfg)
-            if perturb > 0 and occl_start <= f < occl_start + occl_frames:
+            if perturb > 0 and occl_start <= f < occl_start + config["occlusion-frames"]:
                 control = control.copy()
                 control[:, 0] += rng.normal(0.0, perturb)
             controls.append(control)
@@ -372,7 +425,7 @@ def cmd_temporal_demo(args) -> int:
         embeddings = np.zeros((controls.shape[0], curve_cfg.m, 8))
         confidences = np.linspace(1.0, 0.5, controls.shape[0])
         queue.push_frame(controls, embeddings, confidences, pose, f,
-                         keep=min(keep, controls.shape[0]))
+                         keep=min(config["keep"], controls.shape[0]))
         parallel, smooth, curv = losses.spatial_regularization(controls, curve_cfg)
         breakdown = losses.LossBreakdown(spatial_parallel=parallel, spatial_smooth=smooth,
                                          spatial_curvature=curv, temporal=temporal,
@@ -388,8 +441,7 @@ def cmd_temporal_demo(args) -> int:
             "memory_entries": queue.entry_count,
         })
     if args.out:
-        frames.write_json_report(args.out, {"traces": traces,
-                                            "config": dict(sorted(opts.resolved.items()))})
+        frames.write_json_report(args.out, {"traces": traces, "config": config})
     total = sum(t["temporal_loss"] for t in traces)
     print(json.dumps({"total_temporal_loss": total, "frames": spec.frames}, sort_keys=True))
     return 0
@@ -400,98 +452,43 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config(p):
+    def add_command(command, func, summary):
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config", default=None, help="JSON config file with defaults")
+        for name, (kind, default, *note) in OPTIONS[command].items():
+            if kind in _FLAG_KINDS:
+                p.add_argument("--" + name, **_FLAG_KINDS[kind], help=" ".join([*note, f"(default {default})"]))
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("synth", help="generate a synthetic scene")
+    p = add_command("synth", cmd_synth, "generate a synthetic scene")
     p.add_argument("out_prefix", help="output path prefix for the generated files")
-    add_config(p)
-    p.add_argument("--num-lanes", type=int)
-    p.add_argument("--lane-spacing", type=float)
-    p.add_argument("--curvature", type=float, nargs="*",
-                   help="centerline x(y) polynomial coefficients, low order first")
-    p.add_argument("--grade", type=float, help="constant elevation slope dz/dy")
-    p.add_argument("--frames", type=int)
-    p.add_argument("--speed", type=float)
-    p.add_argument("--frame-interval", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--lane-length", type=float)
-    p.add_argument("--pixel-noise", type=float)
-    p.add_argument("--label-range", type=float)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("autolabel", help="lift and track detections into 3D labels")
-    add_config(p)
-    p.add_argument("--trajectory", required=True)
-    p.add_argument("--camera", required=True)
-    p.add_argument("--detections", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--near-range", type=float)
-    p.add_argument("--label-range", type=float)
-    p.add_argument("--station-spacing", type=float)
-    p.add_argument("--gate", type=float)
-    p.add_argument("--min-hits", type=int)
-    p.set_defaults(func=cmd_autolabel)
+    p = add_command("autolabel", cmd_autolabel, "lift and track detections into 3D labels")
+    for path in ("--trajectory", "--camera", "--detections", "--out"):
+        p.add_argument(path, required=True)
 
-    p = sub.add_parser("eval", help="score predictions against ground truth")
-    add_config(p)
+    p = add_command("eval", cmd_eval, "score predictions against ground truth")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--match-fraction", type=float)
-    p.add_argument("--y-min", type=float)
-    p.add_argument("--y-max", type=float)
-    p.add_argument("--y-step", type=float)
-    p.add_argument("--chamfer-threshold", type=float)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("spline", help="fit lane polylines to spline control points")
-    add_config(p)
+    p = add_command("spline", cmd_spline, "fit lane polylines to spline control points")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--control-points", type=int)
-    p.add_argument("--y-start", type=float)
-    p.add_argument("--y-end", type=float)
-    p.add_argument("--samples", type=int)
-    p.set_defaults(func=cmd_spline)
 
-    p = sub.add_parser("masks", help="attention mask statistics")
-    add_config(p)
-    p.add_argument("--lanes", type=int)
-    p.add_argument("--points", type=int)
-    p.add_argument("--history", type=int, help="memory frames (0 disables memory)")
-    p.add_argument("--keep", type=int, help="lanes kept per memory frame")
-    p.add_argument("--k-nearest", type=int)
-    p.add_argument("--seed", type=int)
+    p = add_command("masks", cmd_masks, "attention mask statistics")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_masks)
 
-    p = sub.add_parser("temporal-demo",
-                       help="memory + consistency losses on a synthetic sequence")
-    add_config(p)
-    p.add_argument("--frames", type=int)
-    p.add_argument("--lanes", type=int)
-    p.add_argument("--control-points", type=int)
-    p.add_argument("--grade", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--history", type=int)
-    p.add_argument("--keep", type=int)
-    p.add_argument("--occlusion-start", type=int)
-    p.add_argument("--occlusion-frames", type=int)
-    p.add_argument("--perturb", type=float)
-    p.add_argument("--seed", type=int)
+    p = add_command("temporal-demo", cmd_temporal_demo, "memory + consistency losses on a synthetic sequence")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_temporal_demo)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _resolve(args))
     except (SchemaError, OSError, ValueError) as exc:
         return _fail(str(exc))
 

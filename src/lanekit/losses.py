@@ -14,9 +14,9 @@ against a target in one (samples, m) @ (proposals, m, 4) product.
 
 from __future__ import annotations
 
-import math
+import sys
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -241,7 +241,8 @@ class LossWeights:
         if unknown:
             raise ValueError(f"weights: unknown names {unknown}; known: {names}")
         for name, value in values.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            # the bound also rejects NaN, infinities and ints beyond the float range
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
                 raise ValueError(f"weights: {name} must be a finite number, got {value!r}")
         return cls(**values)
 
@@ -311,8 +312,7 @@ class EmaState:
     """Moving-average lane curves on a fixed y grid, expressed in one ego frame.
 
     Arrays are (lanes, grid) for x, z, and visibility; `pose` is the ego
-    frame the geometry lives in, `alpha` the smoothing factor applied to
-    the current prediction.
+    frame the geometry lives in.
     """
 
     y_grid: np.ndarray
@@ -320,12 +320,9 @@ class EmaState:
     z: np.ndarray
     v: np.ndarray
     pose: EgoPose
-    alpha: float
     lane_ids: np.ndarray = None
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("smoothing factor must lie in [0, 1]")
         if self.lane_ids is None:
             self.lane_ids = np.arange(self.x.shape[0])
 
@@ -373,33 +370,6 @@ def _blend(valid, alpha: float, current, prior):
     return np.where(valid, alpha * current + (1 - alpha) * prior, current)
 
 
-def ema_update(state, cur_x, cur_z, cur_v, pose: EgoPose, y_grid=None,
-               alpha: float = 0.5) -> EmaState:
-    """Blend the current prediction into the propagated moving average.
-
-    new = alpha * current + (1 - alpha) * propagated prior, per grid
-    point and coordinate; grid points the prior no longer covers take
-    the current values.  A missing prior initializes from the current
-    prediction.
-    """
-    cur_x = np.atleast_2d(np.asarray(cur_x, dtype=float))
-    cur_z = np.atleast_2d(np.asarray(cur_z, dtype=float))
-    cur_v = np.atleast_2d(np.asarray(cur_v, dtype=float))
-    if state is None:
-        if y_grid is None:
-            raise ValueError("a y grid is required to initialize the moving average")
-        return EmaState(y_grid=np.asarray(y_grid, dtype=float), x=cur_x.copy(),
-                        z=cur_z.copy(), v=cur_v.copy(), pose=pose, alpha=alpha)
-    if cur_x.shape != state.x.shape:
-        raise ValueError("current prediction must align with the tracked lanes")
-    px, pz, pv, valid = _propagate_state_grid(state, pose)
-    a = state.alpha
-    new_x = _blend(valid, a, cur_x, px)
-    new_z = _blend(valid, a, cur_z, pz)
-    new_v = _blend(valid, a, cur_v, pv)
-    return replace(state, x=new_x, z=new_z, v=np.clip(new_v, 0.0, 1.0), pose=pose)
-
-
 def temporal_consistency_loss(cur_x, cur_z, state) -> float:
     """Visibility-weighted mean L1 gap between current curves and the moving average.
 
@@ -425,11 +395,15 @@ class EmaTracker:
     associates them with the incoming lanes by a gated minimum-cost
     assignment, reports the temporal-consistency loss of the matched
     lanes against the propagated average, and only then blends the new
-    prediction in.  Unmatched incoming lanes start new tracks; unmatched
-    tracks coast on the propagated geometry.
+    prediction in: alpha * current + (1 - alpha) * propagated average,
+    per grid point the average still covers, else the current value.
+    Unmatched incoming lanes start new tracks; unmatched tracks coast on
+    the propagated geometry.
     """
 
     def __init__(self, y_grid, alpha: float = 0.5, gate: float = 1.0):
+        if not 0.0 <= alpha <= 1.0:
+            raise ValueError("smoothing factor must lie in [0, 1]")
         self.y_grid = np.asarray(y_grid, dtype=float)
         self.alpha = alpha
         self.gate = gate
@@ -446,7 +420,7 @@ class EmaTracker:
             ids = np.arange(self._next_id, self._next_id + n_cur)
             self._next_id += n_cur
             self.state = EmaState(y_grid=self.y_grid, x=cur_x.copy(), z=cur_z.copy(),
-                                  v=cur_v.copy(), pose=pose, alpha=self.alpha, lane_ids=ids)
+                                  v=cur_v.copy(), pose=pose, lane_ids=ids)
             return 0.0
 
         px, pz, pv, valid = _propagate_state_grid(self.state, pose)
@@ -493,6 +467,6 @@ class EmaTracker:
             y_grid=self.y_grid,
             x=np.array(new_x), z=np.array(new_z),
             v=np.clip(np.array(new_v), 0.0, 1.0),
-            pose=pose, alpha=self.alpha, lane_ids=np.array(new_ids),
+            pose=pose, lane_ids=np.array(new_ids),
         )
         return loss

@@ -121,7 +121,7 @@ _BASIS_CACHE: OrderedDict[tuple, BasisMatrix] = OrderedDict()
 _BASIS_LOCK = threading.Lock()
 
 
-def basis_matrix(m: int, sample_args, order: int = 0, endpoint_policy: str = "reflect") -> BasisMatrix:
+def basis_matrix(m: int, sample_args, order: int = 0) -> BasisMatrix:
     """Basis matrix mapping m control values to samples at the given arguments.
 
     Rows fold the four segment weights into the m columns; the first and
@@ -131,13 +131,11 @@ def basis_matrix(m: int, sample_args, order: int = 0, endpoint_policy: str = "re
     """
     if m < 4:
         raise ValueError(f"need at least 4 control points, got {m}")
-    if endpoint_policy != "reflect":
-        raise ValueError(f"unknown endpoint policy: {endpoint_policy!r}")
     s = np.ascontiguousarray(np.asarray(sample_args, dtype=float).ravel())
     if s.size and (s.min() < 0.0 or s.max() > 1.0):
         raise ValueError("sample arguments must lie in [0, 1]")
 
-    key = (m, order, endpoint_policy, s.tobytes())
+    key = (m, order, s.tobytes())
     with _BASIS_LOCK:
         cached = _BASIS_CACHE.get(key)
         if cached is not None:
@@ -177,12 +175,11 @@ def basis_matrix(m: int, sample_args, order: int = 0, endpoint_policy: str = "re
     return basis
 
 
-def build_basis(cfg: CurveConfig, sample_args=None, order: int = 0,
-                endpoint_policy: str = "reflect") -> BasisMatrix:
+def build_basis(cfg: CurveConfig, sample_args=None, order: int = 0) -> BasisMatrix:
     """Basis for a curve config; defaults to the config's dense uniform sampling."""
     if sample_args is None:
         sample_args = np.linspace(0.0, 1.0, cfg.samples)
-    return basis_matrix(cfg.m, sample_args, order=order, endpoint_policy=endpoint_policy)
+    return basis_matrix(cfg.m, sample_args, order=order)
 
 
 def evaluate_curve(control_points: np.ndarray, basis: BasisMatrix) -> np.ndarray:

@@ -15,6 +15,7 @@ from lanekit.frames import (
     write_detections,
     write_lane_frames,
 )
+from lanekit.losses import LossWeights
 
 
 def run_synth(tmp_path, prefix="scene", frames=30, extra=()):
@@ -406,6 +407,7 @@ class TestTemporalDemoCommand:
         ('{"temporal": "0.5"}', "temporal must be a finite number"),
         ('{"temporal": NaN}', "temporal must be a finite number"),
         ('{"regression": 1e999}', "regression must be a finite number"),
+        ('{"regression": 1%s}' % ("0" * 400), "regression must be a finite number"),
         ('{"spatial_smooth": true}', "spatial_smooth must be a finite number"),
     ])
     def test_bad_weights_fail_cleanly(self, tmp_path, capsys, weights, message):
@@ -433,3 +435,104 @@ class TestTemporalDemoCommand:
             assert main(["temporal-demo", "--frames", "15", "--perturb", "0.2",
                          "--out", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def scene(tmp_path_factory):
+    """Prefix of a 12-frame, 2-lane synthetic scene with noisy detections."""
+    prefix = tmp_path_factory.mktemp("scene") / "scene"
+    assert main(["synth", str(prefix), "--frames", "12", "--num-lanes", "2", "--seed", "7",
+                 "--lane-length", "120", "--pixel-noise", "0.5"]) == 0
+    return str(prefix)
+
+
+# command: (path arguments, tunable flags, first run's --config, output suffixes); the
+# output is "{out}" plus each suffix, and the first suffix's first line embeds the config
+RUNS = {
+    "synth": (["synth", "{out}"], ["--frames", "5", "--num-lanes", "2", "--curvature", "0", "2e-4"],
+              {"seed": 3, "pixel-noise": 0.5, "lane-length": 90},
+              [".gt.jsonl", ".detections.jsonl", ".trajectory.json", ".camera.json"]),
+    "autolabel": (["autolabel", "--trajectory", "{scene}.trajectory.json", "--camera", "{scene}.camera.json",
+                   "--detections", "{scene}.detections.jsonl", "--out", "{out}"],
+                  ["--min-hits", "2", "--gate", "0.8"], {"near-range": 20, "label-range": 80}, [""]),
+    "eval": (["eval", "--pred", "{scene}.gt.jsonl", "--gt", "{scene}.gt.jsonl", "--out", "{out}"],
+             ["--threshold", "1"], {"y-max": 60, "y-step": 1.5}, [""]),
+    "spline": (["spline", "--input", "{scene}.gt.jsonl", "--out", "{out}"],
+               ["--control-points", "8"], {"y-end": 50, "samples": 30}, [""]),
+    "masks": (["masks", "--out", "{out}"], ["--lanes", "6", "--points", "5", "--history", "2"],
+              {"keep": 3, "seed": 4}, [""]),
+    "temporal-demo": (["temporal-demo", "--out", "{out}"], ["--frames", "8", "--perturb", "0.3"],
+                      {"seed": 5, "alpha": 0.25, "occlusion-start": 2,
+                       "weights": {"temporal": 2, "regression": 0.5}}, [""]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(RUNS))
+def test_recorded_config_reproduces_the_run(tmp_path, capsys, scene, command):
+    paths, flags, config, suffixes = RUNS[command]
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    first.write_text(json.dumps(config))
+
+    def argv(out):
+        return [arg.format(scene=scene, out=tmp_path / out) for arg in paths]
+
+    assert main(argv("a") + flags + ["--config", str(first)]) == 0
+    with open(f"{tmp_path / 'a'}{suffixes[0]}", encoding="utf-8") as fh:
+        recorded = json.loads(fh.readline())["config"]
+    for key, value in config.items():
+        assert recorded[key] == (vars(LossWeights(**value)) if key == "weights" else value)
+    second.write_text(json.dumps(recorded))
+    assert main(argv("b") + ["--config", str(second)]) == 0
+    for suffix in suffixes:
+        assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
+
+
+def test_temporal_demo_records_its_weights(tmp_path, capsys):
+    recorded = []
+    for temporal in (0.1, 2):
+        config, out = tmp_path / "config.json", tmp_path / f"trace{temporal}.json"
+        config.write_text(json.dumps({"weights": {"temporal": temporal}}))
+        assert main(["temporal-demo", "--frames", "3", "--config", str(config), "--out", str(out)]) == 0
+        recorded.append(json.loads(out.read_text())["config"])
+    assert recorded[0] != recorded[1]
+    assert recorded[0]["weights"] == vars(LossWeights())
+    assert recorded[1]["weights"] == vars(LossWeights(temporal=2))
+
+
+@pytest.mark.parametrize("argv, config, option", [
+    (["temporal-demo"], {"alpha": None}, "alpha"),
+    (["temporal-demo"], {"frames": 3, "weights": {"temporal": None}}, "weights"),
+    (["synth", "{out}"], {"curvature": {"a": 1}}, "curvature"),
+    (["synth", "{out}"], {"curvature": [0.0, "x"]}, "curvature"),
+    (["synth", "{out}"], {"num_lanes": 1}, "num_lanes"),
+    (["synth", "{out}"], {"seed": 3.7}, "seed"),
+    (["synth", "{out}"], {"frames": 10 ** 400, "lane-spacing": 10 ** 400}, "lane-spacing"),
+    (["synth", "{out}", "--frames", "2"], {"frames": "x"}, "frames"),
+    (["masks"], {"seed": True}, "seed"),
+    (["eval", "--pred", "{scene}.gt.jsonl", "--gt", "{scene}.gt.jsonl"], {"out": "report.json"}, "out"),
+    (["autolabel", "--near-range", "nan"], None, "--near-range"),
+    (["autolabel", "--gate", "nan"], None, "--gate"),
+    (["autolabel", "--station-spacing", "0"], None, "station_spacing"),
+    (["autolabel", "--station-spacing", "-1"], None, "station_spacing"),
+    (["synth", "{out}", "--pixel-noise", "nan"], None, "--pixel-noise"),
+    (["synth", "{out}", "--lane-spacing", "nan"], None, "--lane-spacing"),
+    (["synth", "{out}", "--curvature", "0", "inf"], None, "--curvature"),
+    (["spline", "--input", "{scene}.gt.jsonl", "--y-end", "inf"], None, "--y-end"),
+], ids=["alpha-null", "weight-null", "curvature-object", "curvature-string", "unknown-key", "seed-float",
+        "int-beyond-float", "overridden-entry-checked", "seed-bool", "path-key", "near-range-nan", "gate-nan",
+        "station-spacing-zero", "station-spacing-negative", "pixel-noise-nan", "lane-spacing-nan",
+        "curvature-inf", "y-end-inf"])
+def test_bad_option_fails_naming_it(tmp_path, capsys, scene, argv, config, option):
+    out = str(tmp_path / "out")
+    argv = [arg.format(scene=scene, out=out) for arg in argv]
+    if argv[0] == "autolabel":
+        argv += ["--trajectory", f"{scene}.trajectory.json", "--camera", f"{scene}.camera.json",
+                 "--detections", f"{scene}.detections.jsonl"]
+    if argv[0] != "synth":
+        argv += ["--out", out]
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "config.json")]
+    assert main(argv) == 2
+    assert option in json.loads(capsys.readouterr().err)["error"]
+    assert list(tmp_path.iterdir()) == ([tmp_path / "config.json"] if config is not None else [])

@@ -1,11 +1,13 @@
-"""Hypothesis fuzzing of the lane and detection readers and of the CLI
-commands that read them.
+"""Hypothesis fuzzing of the lane and detection readers, of the CLI
+commands that read them, and of every subcommand's --config document.
 
 Small valid files from `lanekit synth` are mutated line by line (drop,
 duplicate, swap, replace one JSON value) and byte by byte (flip,
 truncate).  Readers may only raise SchemaError; `eval`, `spline` and
 `autolabel` may only return 0 or 2, and a 2 leaves neither the output
-nor its temporary file behind.
+nor its temporary file behind.  Config documents draw each known key's
+value from the same replacements, sometimes with an unknown key; every
+subcommand holds to the same exit contract.
 """
 
 import contextlib
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lanekit.cli import main
+from lanekit.cli import OPTIONS, main
 from lanekit.frames import (
     SchemaError,
     iter_detections,
@@ -126,17 +128,17 @@ def test_detection_reader_raises_only_schema_errors(scene, data):
         _assert_readers_raise_only_schema_errors(path, iter_detections, read_detections)
 
 
-def _run_cli(argv, out) -> None:
+def _run_cli(argv, *outs) -> int:
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
     assert code in (0, 2)
-    assert not os.path.exists(out + ".tmp")
+    for out in outs:
+        assert not os.path.exists(out + ".tmp")
+        assert os.path.exists(out) == (code == 0)
     if code == 2:
         assert "error" in json.loads(stderr.getvalue())
-        assert not os.path.exists(out)
-    else:
-        assert os.path.exists(out)
+    return code
 
 
 @FUZZ
@@ -166,3 +168,46 @@ def test_autolabel_exits_cleanly(scene, data):
         out = os.path.join(work, "labels.jsonl")
         _run_cli(["autolabel", "--trajectory", scene + ".trajectory.json",
                   "--camera", scene + ".camera.json", "--detections", dets, "--out", out], out)
+
+
+# Each subcommand's paths, plus flags for the options that set how much
+# work a run does; the drawn config entries for those are checked, then
+# overridden.
+CONFIG_ARGV = {
+    "synth": ["synth", "{work}/out", "--frames", "2", "--num-lanes", "2", "--lane-length", "40"],
+    "autolabel": ["autolabel", "--trajectory", "{scene}.trajectory.json", "--camera", "{scene}.camera.json",
+                  "--detections", "{scene}.detections.jsonl", "--out", "{work}/out",
+                  "--label-range", "40", "--station-spacing", "2"],
+    "eval": ["eval", "--pred", "{scene}.gt.jsonl", "--gt", "{scene}.gt.jsonl", "--out", "{work}/out",
+             "--y-min", "0", "--y-max", "40", "--y-step", "2"],
+    "spline": ["spline", "--input", "{scene}.gt.jsonl", "--out", "{work}/out",
+               "--control-points", "6", "--samples", "20"],
+    "masks": ["masks", "--out", "{work}/out", "--lanes", "3", "--points", "5", "--history", "1",
+              "--keep", "2", "--k-nearest", "3"],
+    "temporal-demo": ["temporal-demo", "--out", "{work}/out", "--frames", "3", "--lanes", "2",
+                      "--control-points", "6", "--history", "1", "--keep", "2"],
+}
+CONFIG_OUTS = {"synth": [".gt.jsonl", ".detections.jsonl", ".trajectory.json", ".camera.json"]}
+# The replacements, plus small numbers that most options accept, so
+# that many runs get past the checks.
+NUMBERS = st.sampled_from(REPLACEMENTS) | st.integers(0, 5) | st.floats(0.0, 2.0)
+CONFIG_VALUES = (NUMBERS | st.lists(NUMBERS, max_size=3)
+                 | st.dictionaries(st.sampled_from(["temporal", "regression", "bogus"]), NUMBERS, max_size=2))
+
+
+@FUZZ
+@given(data=st.data(), command=st.sampled_from(sorted(CONFIG_ARGV)))
+def test_config_documents_exit_cleanly(scene, data, command):
+    doc = {name: data.draw(CONFIG_VALUES, label=name)
+           for name in data.draw(st.sets(st.sampled_from(sorted(OPTIONS[command])), max_size=3), label="keys")}
+    unknown = data.draw(st.none() | st.sampled_from(["num_lanes", "bogus", "out"]), label="unknown key")
+    if unknown is not None:
+        doc[unknown] = 1
+    with tempfile.TemporaryDirectory() as work:
+        config = os.path.join(work, "config.json")
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        argv = [arg.format(scene=scene, work=work) for arg in CONFIG_ARGV[command]]
+        out = os.path.join(work, "out")
+        code = _run_cli(argv + ["--config", config], *[out + suffix for suffix in CONFIG_OUTS.get(command, [""])])
+        assert code == 2 or unknown is None

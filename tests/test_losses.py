@@ -14,7 +14,6 @@ from lanekit.losses import (
     assign_proposals,
     classification_targets,
     combined_loss,
-    ema_update,
     focal_classification_loss,
     regression_loss,
     regression_loss_grad,
@@ -393,51 +392,48 @@ class TestSpatialRegularization:
 
 
 class TestEmaUpdate:
+    """The moving-average blend of a one-lane EmaTracker whose gate admits the 2 m step."""
+
     GRID = np.linspace(0.0, 100.0, 21)
 
-    def _state(self, x_value, alpha, pose=None):
-        pose = pose or EgoPose.identity()
-        x = np.full((1, self.GRID.size), x_value)
-        z = np.zeros((1, self.GRID.size))
-        v = np.ones((1, self.GRID.size))
-        return ema_update(None, x, z, v, pose, y_grid=self.GRID, alpha=alpha)
+    def _blended(self, alpha, pose=None):
+        """x after a lane at 1 m is followed by the same lane at 3 m, seen from `pose`."""
+        tracker = EmaTracker(self.GRID, alpha=alpha, gate=5.0)
+        ones = np.ones((1, self.GRID.size))
+        tracker.step(ones, 0.0 * ones, ones, EgoPose.identity())
+        tracker.step(3.0 * ones, 0.0 * ones, ones, pose or EgoPose.identity())
+        assert tracker.state.lane_count == 1
+        return tracker.state.x
 
     def test_alpha_one_takes_current(self):
-        state = self._state(1.0, alpha=1.0)
-        cur = np.full((1, self.GRID.size), 3.0)
-        updated = ema_update(state, cur, state.z, state.v, EgoPose.identity())
-        np.testing.assert_allclose(updated.x, 3.0)
+        np.testing.assert_allclose(self._blended(alpha=1.0), 3.0)
 
     def test_alpha_zero_keeps_prior(self):
-        state = self._state(1.0, alpha=0.0)
-        cur = np.full((1, self.GRID.size), 3.0)
-        updated = ema_update(state, cur, state.z, state.v, EgoPose.identity())
-        np.testing.assert_allclose(updated.x, 1.0)
+        np.testing.assert_allclose(self._blended(alpha=0.0), 1.0)
 
     def test_midpoint_blend(self):
-        state = self._state(1.0, alpha=0.5)
-        cur = np.full((1, self.GRID.size), 3.0)
-        updated = ema_update(state, cur, state.z, state.v, EgoPose.identity())
-        np.testing.assert_allclose(updated.x, 2.0)
+        np.testing.assert_allclose(self._blended(alpha=0.5), 2.0)
 
     def test_propagation_through_ego_motion(self):
         # prior expressed 2 m behind the current frame; straight lane keeps
         # the blend exact after resampling
-        state = self._state(1.0, alpha=0.5)
-        advanced = EgoPose.from_parts(np.eye(3), [0.0, 2.0, 0.0])
-        cur = np.full((1, self.GRID.size), 3.0)
-        updated = ema_update(state, cur, np.zeros_like(cur), np.ones_like(cur), advanced)
+        x = self._blended(alpha=0.5, pose=EgoPose.from_parts(np.eye(3), [0.0, 2.0, 0.0]))
         covered = self.GRID <= self.GRID[-1] - 2.0
-        np.testing.assert_allclose(updated.x[0, covered], 2.0, atol=1e-12)
-        np.testing.assert_allclose(updated.x[0, ~covered], 3.0, atol=1e-12)
+        np.testing.assert_allclose(x[0, covered], 2.0, atol=1e-12)
+        np.testing.assert_allclose(x[0, ~covered], 3.0, atol=1e-12)
+
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match=r"smoothing factor must lie in \[0, 1\]"):
+            EmaTracker(self.GRID, alpha=alpha)
 
 
 class TestTemporalConsistency:
     GRID = np.linspace(0.0, 100.0, 26)
 
-    def _state(self, x, v=1.0):
-        return ema_update(None, x, np.zeros_like(x), np.full_like(x, v),
-                          EgoPose.identity(), y_grid=self.GRID, alpha=0.5)
+    def _state(self, x, z=None, v=1.0):
+        z = np.zeros_like(x) if z is None else z
+        return EmaState(y_grid=self.GRID, x=x, z=z, v=np.full_like(x, v), pose=EgoPose.identity())
 
     def test_zero_when_current_equals_average(self):
         x = np.zeros((2, self.GRID.size))
@@ -462,12 +458,10 @@ class TestTemporalConsistency:
         rng = np.random.default_rng(51)
         x = rng.uniform(-3, 3, (2, self.GRID.size))
         z = rng.uniform(-1, 1, (2, self.GRID.size))
-        state = ema_update(None, x, z, np.ones_like(x), EgoPose.identity(),
-                           y_grid=self.GRID, alpha=0.5)
+        state = self._state(x, z)
         cur_x, cur_z = x + rng.normal(size=x.shape), z + rng.normal(size=z.shape)
         base = temporal_consistency_loss(cur_x, cur_z, state)
-        shifted_state = ema_update(None, x + 7.5, z - 2.5, np.ones_like(x),
-                                   EgoPose.identity(), y_grid=self.GRID, alpha=0.5)
+        shifted_state = self._state(x + 7.5, z - 2.5)
         shifted = temporal_consistency_loss(cur_x + 7.5, cur_z - 2.5, shifted_state)
         assert shifted == pytest.approx(base, rel=1e-12)
 
@@ -525,7 +519,7 @@ def loop_tracker_step(tracker, cur_x, cur_z, cur_v, pose):
         ids = np.arange(tracker._next_id, tracker._next_id + n_cur)
         tracker._next_id += n_cur
         tracker.state = EmaState(y_grid=tracker.y_grid, x=cur_x.copy(), z=cur_z.copy(),
-                                 v=cur_v.copy(), pose=pose, alpha=tracker.alpha, lane_ids=ids)
+                                 v=cur_v.copy(), pose=pose, lane_ids=ids)
         return 0.0
     px, pz, pv, valid = _propagate_state_grid(tracker.state, pose)
     n_trk = px.shape[0]
@@ -565,7 +559,7 @@ def loop_tracker_step(tracker, cur_x, cur_z, cur_v, pose):
             tracker._next_id += 1
     tracker.state = EmaState(y_grid=tracker.y_grid, x=np.array(new_x), z=np.array(new_z),
                              v=np.clip(np.array(new_v), 0.0, 1.0), pose=pose,
-                             alpha=tracker.alpha, lane_ids=np.array(new_ids))
+                             lane_ids=np.array(new_ids))
     return loss
 
 
@@ -637,8 +631,8 @@ class TestCombinedLoss:
         gts = [gt_from_control(controls[0], CFG)]
         probs = one_hot_probs(1, 3, [1], p=1.0)
         grid = np.linspace(0.0, 100.0, 21)
-        state = ema_update(None, np.full((1, 21), 0.4), np.zeros((1, 21)), np.ones((1, 21)),
-                           EgoPose.identity(), y_grid=grid, alpha=0.5)
+        state = EmaState(y_grid=grid, x=np.full((1, 21), 0.4), z=np.zeros((1, 21)),
+                         v=np.ones((1, 21)), pose=EgoPose.identity())
         breakdown = combined_loss(controls, probs, gts, CFG, ema_state=state)
         assert breakdown.temporal == pytest.approx(0.4, abs=1e-12)
 

@@ -80,10 +80,6 @@ class TestBasis:
         with pytest.raises(ValueError):
             basis_matrix(3, [0.5])
 
-    def test_rejects_unknown_endpoint_policy(self):
-        with pytest.raises(ValueError):
-            basis_matrix(6, [0.5], endpoint_policy="clamp")
-
     def test_cache_returns_same_object(self):
         args = np.linspace(0.0, 1.0, 33)
         assert basis_matrix(7, args) is basis_matrix(7, args)
