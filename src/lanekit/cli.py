@@ -14,10 +14,11 @@ names without the leading "--" and take the flag's type: an int, a
 finite number, or (for --curvature) a list of finite numbers, where one
 number stands for a one-element list.  `temporal-demo` also reads
 "weights", an object of LossWeights fields, which has no flag.  Unknown
-keys and values of the wrong type exit with code 2.  All runs are
-deterministic given config and seed, and every output file embeds the
-schema version plus the resolved config: every option's value as used,
-which given back as --config reproduces the run.
+keys, values of the wrong type and values below an option's least value
+exit with code 2.  All runs are deterministic given config and seed, and
+every output file embeds the schema version plus the resolved config:
+every option's value as used, which given back as --config reproduces
+the run.
 """
 
 from __future__ import annotations
@@ -58,21 +59,21 @@ def _weights(value, name: str) -> dict:
 _FLAG_KINDS = {frames._int: {"type": int}, _float: {"type": float},
                _floats: {"type": float, "nargs": "*"}}
 
-# Each subcommand's tunable options: name -> (kind, default[, help]).  A
-# kind checks and converts a flag or config value, naming the option.
+# Each subcommand's tunable options: name -> (kind, default[, least value[, help]]).
+# A kind checks and converts a flag or config value, naming the option.
 OPTIONS = {
     "synth": {
-        "num-lanes": (frames._int, 4),
+        "num-lanes": (frames._int, 4, 1),
         "lane-spacing": (_float, 3.5),
-        "curvature": (_floats, [0.0, 0.0, 0.0],
+        "curvature": (_floats, [0.0, 0.0, 0.0], None,
                       "centerline x(y) polynomial coefficients, low order first"),
-        "grade": (_float, 0.0, "constant elevation slope dz/dy"),
-        "frames": (frames._int, 100),
+        "grade": (_float, 0.0, None, "constant elevation slope dz/dy"),
+        "frames": (frames._int, 100, 1),
         "speed": (_float, 10.0),
         "frame-interval": (_float, 0.1),
-        "seed": (frames._int, 0),
-        "lane-length": (_float, 400.0),
-        "pixel-noise": (_float, 0.0),
+        "seed": (frames._int, 0, 0),
+        "lane-length": (_float, 400.0, 0.5, "centerline length in m, sampled every 0.5 m"),
+        "pixel-noise": (_float, 0.0, 0.0),
         "label-range": (_float, 250.0),
     },
     "autolabel": {
@@ -97,37 +98,47 @@ OPTIONS = {
         "samples": (frames._int, 100),
     },
     "masks": {
-        "lanes": (frames._int, 40),
-        "points": (frames._int, 20),
-        "history": (frames._int, 0, "memory frames (0 disables memory)"),
-        "keep": (frames._int, 10, "lanes kept per memory frame"),
+        "lanes": (frames._int, 40, 1),
+        # neighbour tangents come from a cubic spline basis over each lane's points
+        "points": (frames._int, 20, 4),
+        "history": (frames._int, 0, None, "memory frames (0 disables memory)"),
+        "keep": (frames._int, 10, None, "lanes kept per memory frame"),
         "k-nearest": (frames._int, 10),
-        "seed": (frames._int, 0),
+        "seed": (frames._int, 0, 0),
     },
     "temporal-demo": {
-        "frames": (frames._int, 120),
-        "lanes": (frames._int, 4),
-        "control-points": (frames._int, 20),
+        "frames": (frames._int, 120, 1),
+        "lanes": (frames._int, 4, 1),
+        "control-points": (frames._int, 20, 4),
         "grade": (_float, 0.0),
         "alpha": (_float, 0.5),
-        "history": (frames._int, 3),
-        "keep": (frames._int, 10),
+        "history": (frames._int, 3, 1),
+        "keep": (frames._int, 10, 0),
         "occlusion-start": (frames._int, 40),
         "occlusion-frames": (frames._int, 30),
-        "perturb": (_float, 0.0),
-        "seed": (frames._int, 0),
+        "perturb": (_float, 0.0, 0.0),
+        "seed": (frames._int, 0, 0),
         "weights": (_weights, {}),
     },
 }
 
 
+def _check(option, value, label: str):
+    """`value` converted by the option's kind and held to its least value, if it has one."""
+    kind, _, *rest = option
+    value = kind(value, label)
+    if rest and rest[0] is not None and not value >= rest[0]:
+        raise ValueError(f"{label} must be at least {rest[0]}, got {value!r}")
+    return value
+
+
 def _resolve(args) -> dict:
     """Each option of the subcommand: its flag, else its --config entry, else its default.
 
-    Every value is checked by its option's kind, a config entry also
-    when a flag overrides it, and config keys that name no option are
-    rejected.  The result, in key order, is what the subcommand runs
-    with and records.
+    Every value is checked by its option's kind and least value, a
+    config entry also when a flag overrides it, and config keys that
+    name no option are rejected.  The result, in key order, is what the
+    subcommand runs with and records.
     """
     table = OPTIONS[args.command]
     config = {}
@@ -140,11 +151,12 @@ def _resolve(args) -> dict:
         if unknown:
             raise ValueError(f"{args.config}: unknown config keys {unknown}; known: {sorted(table)}")
     resolved = {}
-    for name, (kind, default, *_) in sorted(table.items()):
-        resolved[name] = kind(config[name], f"config key {name!r}") if name in config else kind(default, name)
+    for name, option in sorted(table.items()):
+        value, label = (config[name], f"config key {name!r}") if name in config else (option[1], name)
+        resolved[name] = _check(option, value, label)
         flag = getattr(args, name.replace("-", "_"), None)
         if flag is not None:
-            resolved[name] = kind(flag, f"--{name}")
+            resolved[name] = _check(option, flag, f"--{name}")
     return resolved
 
 
@@ -361,9 +373,6 @@ def _canonical_lane_points(n_lanes: int, m_points: int, spacing: float = 3.5,
 
 def cmd_masks(args, config: dict) -> int:
     n, m, history, keep = config["lanes"], config["points"], config["history"], config["keep"]
-
-    if m < 4:  # neighbour tangents come from a cubic spline basis over each lane's points
-        raise ValueError(f"--points must be at least 4, got {m}")
     if history < 0 or keep < 0:
         raise ValueError(f"history and keep must be >= 0, got {history} and {keep}")
 
@@ -455,9 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_command(command, func, summary):
         p = sub.add_parser(command, help=summary)
         p.add_argument("--config", default=None, help="JSON config file with defaults")
-        for name, (kind, default, *note) in OPTIONS[command].items():
+        for name, (kind, default, *rest) in OPTIONS[command].items():
             if kind in _FLAG_KINDS:
-                p.add_argument("--" + name, **_FLAG_KINDS[kind], help=" ".join([*note, f"(default {default})"]))
+                p.add_argument("--" + name, **_FLAG_KINDS[kind], help=" ".join([*rest[1:], f"(default {default})"]))
         p.set_defaults(func=func)
         return p
 

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .splines import CurveConfig, arg_for_y, basis_matrix
-from .temporal import EgoPose, propagate_points
+from .temporal import EgoPose, apply_transform, relative_transform
 
 PROB_EPS = 1e-7
 
@@ -280,8 +280,15 @@ def combined_loss(pred_points, class_probs, gts, cfg: CurveConfig,
                   n_classes: int | None = None) -> LossBreakdown:
     """Assign proposals to targets and evaluate every loss term in one pass.
 
-    The temporal term is evaluated against `ema_state` when given (the
-    prediction is resampled on the state's grid), otherwise it is 0.
+    The temporal term is evaluated against `ema_state` when given and it
+    holds one lane per proposal, otherwise it is 0.  The prediction is
+    resampled on the state's grid and compared with the state as stored:
+    in the state's own ego frame, with no propagation into the current
+    one, and proposal i against state lane i, with no association.
+    `EmaTracker.step` does both, and its association does not keep lane
+    order: on the seed-7 detector sequence it pairs 12 to 18 of the 20
+    proposals with a tracked lane at another index on each of frames 20
+    to 27.
     """
     pred_points = np.asarray(pred_points, dtype=float)
     class_probs = np.asarray(class_probs, dtype=float)
@@ -341,27 +348,23 @@ def resample_curves_on_grid(pred_points, cfg: CurveConfig, y_grid) -> tuple[np.n
 def _propagate_state_grid(state: EmaState, pose: EgoPose):
     """Carry state geometry into `pose`'s frame and re-interpolate onto the y grid.
 
+    Every lane's (x, y, z) samples move under one rigid transform.
     Returns (x, z, v, valid) with `valid` marking grid points covered by
     the propagated span.
     """
     grid = state.y_grid
-    n = state.lane_count
-    x = np.zeros((n, grid.size))
-    z = np.zeros((n, grid.size))
-    v = np.zeros((n, grid.size))
-    valid = np.zeros((n, grid.size), dtype=bool)
-    for i in range(n):
-        pts = np.column_stack([state.x[i], grid, state.z[i], state.v[i]])
-        moved = propagate_points(pts, state.pose, pose)
-        order = np.argsort(moved[:, 1], kind="stable")
-        ys = moved[order, 1]
-        lo, hi = ys[0], ys[-1]
-        ok = (grid >= lo) & (grid <= hi)
-        valid[i] = ok
-        if ok.any():
-            x[i, ok] = np.interp(grid[ok], ys, moved[order, 0])
-            z[i, ok] = np.interp(grid[ok], ys, moved[order, 2])
-            v[i, ok] = np.interp(grid[ok], ys, moved[order, 3])
+    xyz = np.stack([state.x, np.broadcast_to(grid, state.x.shape), state.z], axis=-1)
+    moved = apply_transform(relative_transform(state.pose, pose), xyz)
+    order = np.argsort(moved[..., 1], axis=1, kind="stable")
+    moved = np.take_along_axis(moved, order[..., None], axis=1)
+    ys, vs = moved[..., 1], np.take_along_axis(state.v, order, axis=1)
+    valid = (grid >= ys[:, :1]) & (grid <= ys[:, -1:])
+    x, z, v = np.zeros_like(ys), np.zeros_like(ys), np.zeros_like(ys)
+    for i in np.flatnonzero(valid.any(axis=1)):
+        ok = valid[i]
+        x[i, ok] = np.interp(grid[ok], ys[i], moved[i, :, 0])
+        z[i, ok] = np.interp(grid[ok], ys[i], moved[i, :, 2])
+        v[i, ok] = np.interp(grid[ok], ys[i], vs[i])
     return x, z, v, valid
 
 
@@ -433,40 +436,27 @@ class EmaTracker:
         np.divide(np.where(valid[:, None], gap, 0.0).sum(axis=2), covered, out=dist, where=covered > 0)
         finite = np.where(np.isfinite(dist), dist, self.gate * 1e6)
         rows, cols = linear_sum_assignment(finite)
-        pairs = [(t, c) for t, c in zip(rows, cols) if dist[t, c] <= self.gate]
+        kept = dist[rows, cols] <= self.gate
+        t, c = rows[kept], cols[kept]
+        # pairs first, then coasting tracks that still cover the grid, then new lanes
+        coast = np.setdiff1d(np.arange(n_trk), t)
+        coast = coast[valid[coast].any(axis=1)]
+        fresh = np.setdiff1d(np.arange(n_cur), c)
 
-        loss = 0.0
-        for t, c in pairs:
-            gap = np.abs(cur_x[c] - px[t]) + np.abs(cur_z[c] - pz[t])
-            loss += float(np.mean(np.where(valid[t], pv[t], 0.0) * gap))
-        loss = loss / n_cur if n_cur else 0.0
+        weight = np.where(valid, pv, 0.0)
+        gap = np.abs(cur_x[c] - px[t]) + np.abs(cur_z[c] - pz[t])
+        # per-pair means added left to right as Python floats; np.sum would add pairwise
+        loss = sum(np.mean(weight[t] * gap, axis=1).tolist()) / n_cur if n_cur else 0.0
 
-        a = self.alpha
-        new_x, new_z, new_v, new_ids = [], [], [], []
-        matched_tracks = {t for t, _ in pairs}
-        matched_cur = {c for _, c in pairs}
-        for t, c in pairs:
-            new_x.append(_blend(valid[t], a, cur_x[c], px[t]))
-            new_z.append(_blend(valid[t], a, cur_z[c], pz[t]))
-            new_v.append(_blend(valid[t], a, cur_v[c], pv[t]))
-            new_ids.append(self.state.lane_ids[t])
-        for t in range(n_trk):
-            if t not in matched_tracks and valid[t].any():
-                new_x.append(px[t])
-                new_z.append(pz[t])
-                new_v.append(np.where(valid[t], pv[t], 0.0))
-                new_ids.append(self.state.lane_ids[t])
-        for c in range(n_cur):
-            if c not in matched_cur:
-                new_x.append(cur_x[c].copy())
-                new_z.append(cur_z[c].copy())
-                new_v.append(cur_v[c].copy())
-                new_ids.append(self._next_id)
-                self._next_id += 1
+        a, ids = self.alpha, self.state.lane_ids
         self.state = EmaState(
             y_grid=self.y_grid,
-            x=np.array(new_x), z=np.array(new_z),
-            v=np.clip(np.array(new_v), 0.0, 1.0),
-            pose=pose, lane_ids=np.array(new_ids),
+            x=np.concatenate([_blend(valid[t], a, cur_x[c], px[t]), px[coast], cur_x[fresh]]),
+            z=np.concatenate([_blend(valid[t], a, cur_z[c], pz[t]), pz[coast], cur_z[fresh]]),
+            v=np.clip(np.concatenate([_blend(valid[t], a, cur_v[c], pv[t]), weight[coast], cur_v[fresh]]),
+                      0.0, 1.0),
+            pose=pose,
+            lane_ids=np.concatenate([ids[t], ids[coast], np.arange(self._next_id, self._next_id + fresh.size)]),
         )
+        self._next_id += fresh.size
         return loss

@@ -231,23 +231,6 @@ def _chamfer_matches(pred_lanes, gt_lanes, tau: float) -> list[float]:
     return distances
 
 
-def chamfer_eval(pred_lanes, gt_lanes, tau: float = 0.3):
-    """Chamfer precision/recall over dense polylines.
-
-    Returns (precision, recall, f1, mean chamfer distance over matches).
-    """
-    n_pred, n_gt = len(pred_lanes), len(gt_lanes)
-    if n_pred == 0 or n_gt == 0:
-        return 0.0, 0.0, 0.0, 0.0
-    distances = _chamfer_matches(pred_lanes, gt_lanes, tau)
-    tp = len(distances)
-    precision = tp / n_pred
-    recall = tp / n_gt
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    mean_cd = float(np.mean(distances)) if distances else 0.0
-    return precision, recall, f1, mean_cd
-
-
 @dataclass
 class EvalAccumulator:
     """Order-independent aggregation over frames: sum counters, divide at the end."""
@@ -296,9 +279,8 @@ class EvalAccumulator:
                 bins[label] = {"x_error": entry[0] / entry[2], "z_error": entry[1] / entry[2]}
             else:
                 bins[label] = None
-        c_precision = self.chamfer_tp / self.chamfer_pred if self.chamfer_pred else 0.0
-        c_recall = self.chamfer_tp / self.chamfer_gt if self.chamfer_gt else 0.0
-        c_f1 = 2 * c_precision * c_recall / (c_precision + c_recall) if c_precision + c_recall else 0.0
+        c_f1, c_precision, c_recall = f1_score(self.chamfer_tp, self.chamfer_pred - self.chamfer_tp,
+                                               self.chamfer_gt - self.chamfer_tp)
         return {
             "f1": f1,
             "precision": precision,

@@ -72,7 +72,7 @@ def relative_transform(src: EgoPose, dst: EgoPose) -> np.ndarray:
 
 
 def apply_transform(transform: np.ndarray, xyz: np.ndarray) -> np.ndarray:
-    """Apply a 4x4 rigid transform to an (n, 3) array of points."""
+    """Apply a 4x4 rigid transform to a (..., 3) array of points."""
     xyz = np.asarray(xyz, dtype=float)
     return xyz @ transform[:3, :3].T + transform[:3, 3]
 

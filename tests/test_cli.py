@@ -518,10 +518,29 @@ def test_temporal_demo_records_its_weights(tmp_path, capsys):
     (["synth", "{out}", "--lane-spacing", "nan"], None, "--lane-spacing"),
     (["synth", "{out}", "--curvature", "0", "inf"], None, "--curvature"),
     (["spline", "--input", "{scene}.gt.jsonl", "--y-end", "inf"], None, "--y-end"),
+    (["synth", "{out}", "--num-lanes", "0"], None, "--num-lanes"),
+    (["synth", "{out}", "--num-lanes", "-1"], None, "--num-lanes"),
+    (["synth", "{out}"], {"num-lanes": 0}, "config key 'num-lanes' must be at least 1"),
+    (["synth", "{out}", "--lane-length", "-1"], None, "--lane-length"),
+    (["synth", "{out}", "--seed", "-1"], None, "--seed"),
+    (["synth", "{out}", "--frames", "0"], None, "--frames"),
+    (["synth", "{out}", "--pixel-noise", "-1"], None, "--pixel-noise"),
+    (["masks", "--seed", "-1", "--history", "1"], None, "--seed"),
+    (["masks", "--lanes", "0"], None, "--lanes"),
+    (["temporal-demo", "--keep", "-1"], None, "--keep"),
+    (["temporal-demo", "--lanes", "0"], None, "--lanes"),
+    (["temporal-demo", "--seed", "-1"], None, "--seed"),
+    (["temporal-demo", "--frames", "0"], None, "--frames"),
+    (["temporal-demo", "--history", "0"], None, "--history"),
+    (["temporal-demo", "--control-points", "3"], None, "--control-points"),
+    (["temporal-demo", "--perturb", "-0.5"], None, "--perturb"),
 ], ids=["alpha-null", "weight-null", "curvature-object", "curvature-string", "unknown-key", "seed-float",
         "int-beyond-float", "overridden-entry-checked", "seed-bool", "path-key", "near-range-nan", "gate-nan",
         "station-spacing-zero", "station-spacing-negative", "pixel-noise-nan", "lane-spacing-nan",
-        "curvature-inf", "y-end-inf"])
+        "curvature-inf", "y-end-inf", "synth-no-lanes", "synth-negative-lanes", "config-no-lanes",
+        "negative-lane-length", "synth-negative-seed", "synth-no-frames", "negative-pixel-noise",
+        "masks-negative-seed", "masks-no-lanes", "negative-keep", "demo-no-lanes", "demo-negative-seed",
+        "demo-no-frames", "no-history", "too-few-control-points", "negative-perturb"])
 def test_bad_option_fails_naming_it(tmp_path, capsys, scene, argv, config, option):
     out = str(tmp_path / "out")
     argv = [arg.format(scene=scene, out=out) for arg in argv]

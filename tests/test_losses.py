@@ -5,7 +5,6 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from lanekit.losses import (
-    _propagate_state_grid,
     EmaState,
     EmaTracker,
     GtLane,
@@ -23,7 +22,7 @@ from lanekit.losses import (
     visibility_loss,
 )
 from lanekit.splines import CurveConfig, arg_for_y, basis_matrix, control_points_from_columns
-from lanekit.temporal import EgoPose
+from lanekit.temporal import EgoPose, propagate_points
 
 CFG = CurveConfig(m=6, y_start=0.0, y_end=100.0, samples=50)
 
@@ -512,8 +511,28 @@ class TestEmaTracker:
         assert noisy_total > clean_total
 
 
+def loop_propagate(state, pose):
+    """The state's lanes carried into `pose` one at a time, then re-interpolated onto the grid."""
+    grid = state.y_grid
+    n = state.lane_count
+    x, z, v = np.zeros((n, grid.size)), np.zeros((n, grid.size)), np.zeros((n, grid.size))
+    valid = np.zeros((n, grid.size), dtype=bool)
+    for i in range(n):
+        moved = propagate_points(np.column_stack([state.x[i], grid, state.z[i], state.v[i]]),
+                                 state.pose, pose)
+        order = np.argsort(moved[:, 1], kind="stable")
+        ys = moved[order, 1]
+        ok = (grid >= ys[0]) & (grid <= ys[-1])
+        valid[i] = ok
+        if ok.any():
+            x[i, ok] = np.interp(grid[ok], ys, moved[order, 0])
+            z[i, ok] = np.interp(grid[ok], ys, moved[order, 2])
+            v[i, ok] = np.interp(grid[ok], ys, moved[order, 3])
+    return x, z, v, valid
+
+
 def loop_tracker_step(tracker, cur_x, cur_z, cur_v, pose):
-    """EmaTracker.step with the per-(track, lane) distance loop and inline blends."""
+    """EmaTracker.step with per-lane propagation, the per-(track, lane) distance loop and inline blends."""
     n_cur = cur_x.shape[0]
     if tracker.state is None or tracker.state.lane_count == 0:
         ids = np.arange(tracker._next_id, tracker._next_id + n_cur)
@@ -521,7 +540,7 @@ def loop_tracker_step(tracker, cur_x, cur_z, cur_v, pose):
         tracker.state = EmaState(y_grid=tracker.y_grid, x=cur_x.copy(), z=cur_z.copy(),
                                  v=cur_v.copy(), pose=pose, lane_ids=ids)
         return 0.0
-    px, pz, pv, valid = _propagate_state_grid(tracker.state, pose)
+    px, pz, pv, valid = loop_propagate(tracker.state, pose)
     n_trk = px.shape[0]
     dist = np.full((n_trk, n_cur), np.inf)
     for t in range(n_trk):
@@ -557,9 +576,11 @@ def loop_tracker_step(tracker, cur_x, cur_z, cur_v, pose):
             new_v.append(cur_v[c].copy())
             new_ids.append(tracker._next_id)
             tracker._next_id += 1
-    tracker.state = EmaState(y_grid=tracker.y_grid, x=np.array(new_x), z=np.array(new_z),
-                             v=np.clip(np.array(new_v), 0.0, 1.0), pose=pose,
-                             lane_ids=np.array(new_ids))
+    shape = (len(new_x), tracker.y_grid.size)  # (lanes, grid) also when no lane is left
+    tracker.state = EmaState(y_grid=tracker.y_grid, x=np.array(new_x).reshape(shape),
+                             z=np.array(new_z).reshape(shape),
+                             v=np.clip(np.array(new_v).reshape(shape), 0.0, 1.0), pose=pose,
+                             lane_ids=np.array(new_ids, dtype=int))
     return loss
 
 
@@ -571,20 +592,25 @@ class TestEmaTrackerMatchesLoop:
         rng = np.random.default_rng(seed)
         fast, loop = EmaTracker(self.GRID, 0.5, gate=0.8), EmaTracker(self.GRID, 0.5, gate=0.8)
         offsets = 3.5 * np.arange(-3, 4)
+        empty_states = 0
         for f in range(25):
-            # lanes come and go, jitter around the gate, and the ego jumps
-            # far enough now and then that old tracks lose all valid points
-            lanes = np.sort(rng.choice(offsets, size=rng.integers(1, 6), replace=False))
+            # lanes come and go, none on some frames, jitter around the gate, and
+            # the ego jumps far enough now and then that old tracks lose all valid points
+            count = 0 if f % 6 == 5 else rng.integers(1, 6)
+            lanes = np.sort(rng.choice(offsets, size=count, replace=False))
             y = 3.0 * f + (150.0 if f % 9 == 8 else 0.0)
             pose = EgoPose.from_parts(np.eye(3), [0.2 * np.sin(f), y, 0.0])
             x = lanes[:, None] + rng.normal(0.0, 0.4, (len(lanes), self.GRID.size))
             z = rng.normal(0.0, 0.05, x.shape)
             v = rng.uniform(size=x.shape)
             got, expected = fast.step(x, z, v, pose), loop_tracker_step(loop, x, z, v, pose)
-            assert got == pytest.approx(expected, rel=0, abs=1e-12)
+            assert got == expected
             assert np.array_equal(fast.state.lane_ids, loop.state.lane_ids)
             for field in ("x", "z", "v"):
+                assert getattr(fast.state, field).shape == (fast.state.lane_count, self.GRID.size)
                 np.testing.assert_array_equal(getattr(fast.state, field), getattr(loop.state, field))
+            empty_states += fast.state.lane_count == 0
+        assert empty_states > 0
 
 
 class TestProposalOrderingInvariance:

@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from lanekit.metrics import (
     EvalAccumulator,
     MatchConfig,
-    chamfer_eval,
     f1_score,
     match_lanes,
     resample_on_grid,
@@ -190,19 +189,26 @@ class TestVisIoU:
         assert vis_iou(match) is None
 
 
+def chamfer_report(pred_lanes, gt_lanes, tau=0.3):
+    """The chamfer entry of a one-frame report: precision, recall, f1 and mean_cd."""
+    acc = EvalAccumulator(cfg=MatchConfig(chamfer_threshold=tau))
+    acc.add_frame(pred_lanes, gt_lanes)
+    return acc.report()["chamfer"]
+
+
 class TestChamfer:
     def test_identical_polylines(self):
-        p, r, f1, cd = chamfer_eval([lane(0.0)], [lane(0.0)])
-        assert (p, r, f1, cd) == (1.0, 1.0, 1.0, 0.0)
+        report = chamfer_report([lane(0.0)], [lane(0.0)])
+        assert report == {"precision": 1.0, "recall": 1.0, "f1": 1.0, "mean_cd": 0.0}
 
     def test_one_meter_offset_no_tp(self):
-        p, r, f1, cd = chamfer_eval([lane(1.0)], [lane(0.0)], tau=0.3)
-        assert (p, r, f1) == (0.0, 0.0, 0.0)
+        report = chamfer_report([lane(1.0)], [lane(0.0)], tau=0.3)
+        assert (report["precision"], report["recall"], report["f1"]) == (0.0, 0.0, 0.0)
 
     def test_small_lateral_shift_value(self):
-        p, r, f1, cd = chamfer_eval([lane(0.1)], [lane(0.0)], tau=0.3)
-        assert p == r == f1 == 1.0
-        assert cd == pytest.approx(0.1, abs=1e-9)
+        report = chamfer_report([lane(0.1)], [lane(0.0)], tau=0.3)
+        assert report["precision"] == report["recall"] == report["f1"] == 1.0
+        assert report["mean_cd"] == pytest.approx(0.1, abs=1e-9)
 
     def test_unilateral_direction(self):
         # one-sided: from target samples to predicted points; aligned sampling
@@ -212,15 +218,15 @@ class TestChamfer:
         assert unilateral_chamfer(short_pred, full_gt) == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_inputs(self):
-        assert chamfer_eval([], [lane(0.0)]) == (0.0, 0.0, 0.0, 0.0)
+        assert chamfer_report([], [lane(0.0)]) == {"precision": 0.0, "recall": 0.0, "f1": 0.0, "mean_cd": 0.0}
 
     def test_greedy_assignment_prefers_closer_pair(self):
         preds = [lane(0.05), lane(0.25)]
         gts = [lane(0.0)]
-        p, r, f1, cd = chamfer_eval(preds, gts, tau=0.3)
-        assert r == 1.0
-        assert p == 0.5
-        assert cd == pytest.approx(0.05, abs=1e-9)
+        report = chamfer_report(preds, gts, tau=0.3)
+        assert report["recall"] == 1.0
+        assert report["precision"] == 0.5
+        assert report["mean_cd"] == pytest.approx(0.05, abs=1e-9)
 
 
 def norm_chamfer(gt_points, pred_points):
