@@ -14,7 +14,7 @@ names without the leading "--" and take the flag's type: an int, a
 finite number, or (for --curvature) a list of finite numbers, where one
 number stands for a one-element list.  `temporal-demo` also reads
 "weights", an object of LossWeights fields, which has no flag.  Unknown
-keys, values of the wrong type and values below an option's least value
+keys, values of the wrong type and values outside an option's bounds
 exit with code 2.  All runs are deterministic given config and seed, and
 every output file embeds the schema version plus the resolved config:
 every option's value as used, which given back as --config reproduces
@@ -59,22 +59,23 @@ def _weights(value, name: str) -> dict:
 _FLAG_KINDS = {frames._int: {"type": int}, _float: {"type": float},
                _floats: {"type": float, "nargs": "*"}}
 
-# Each subcommand's tunable options: name -> (kind, default[, least value[, help]]).
-# A kind checks and converts a flag or config value, naming the option.
+# Each subcommand's tunable options: name -> (kind, default[, bounds[, help]]).
+# A kind checks and converts a flag or config value, naming the option.  Bounds
+# are a least value or an interval such as "(0, inf)" or "[0, 1]".
 OPTIONS = {
     "synth": {
         "num-lanes": (frames._int, 4, 1),
-        "lane-spacing": (_float, 3.5),
+        "lane-spacing": (_float, 3.5, "(0, inf)"),
         "curvature": (_floats, [0.0, 0.0, 0.0], None,
                       "centerline x(y) polynomial coefficients, low order first"),
         "grade": (_float, 0.0, None, "constant elevation slope dz/dy"),
         "frames": (frames._int, 100, 1),
-        "speed": (_float, 10.0),
-        "frame-interval": (_float, 0.1),
+        "speed": (_float, 10.0, "(0, inf)"),
+        "frame-interval": (_float, 0.1, "(0, inf)"),
         "seed": (frames._int, 0, 0),
         "lane-length": (_float, 400.0, 0.5, "centerline length in m, sampled every 0.5 m"),
         "pixel-noise": (_float, 0.0, 0.0),
-        "label-range": (_float, 250.0),
+        "label-range": (_float, 250.0, "(0, inf)"),
     },
     "autolabel": {
         "near-range": (_float, 25.0),
@@ -101,9 +102,9 @@ OPTIONS = {
         "lanes": (frames._int, 40, 1),
         # neighbour tangents come from a cubic spline basis over each lane's points
         "points": (frames._int, 20, 4),
-        "history": (frames._int, 0, None, "memory frames (0 disables memory)"),
-        "keep": (frames._int, 10, None, "lanes kept per memory frame"),
-        "k-nearest": (frames._int, 10),
+        "history": (frames._int, 0, 0, "memory frames (0 disables memory)"),
+        "keep": (frames._int, 10, 0, "lanes kept per memory frame"),
+        "k-nearest": (frames._int, 10, 0),
         "seed": (frames._int, 0, 0),
     },
     "temporal-demo": {
@@ -111,7 +112,7 @@ OPTIONS = {
         "lanes": (frames._int, 4, 1),
         "control-points": (frames._int, 20, 4),
         "grade": (_float, 0.0),
-        "alpha": (_float, 0.5),
+        "alpha": (_float, 0.5, "[0, 1]"),
         "history": (frames._int, 3, 1),
         "keep": (frames._int, 10, 0),
         "occlusion-start": (frames._int, 40),
@@ -124,18 +125,24 @@ OPTIONS = {
 
 
 def _check(option, value, label: str):
-    """`value` converted by the option's kind and held to its least value, if it has one."""
+    """`value` converted by the option's kind and held to its bounds, if it has any."""
     kind, _, *rest = option
     value = kind(value, label)
-    if rest and rest[0] is not None and not value >= rest[0]:
-        raise ValueError(f"{label} must be at least {rest[0]}, got {value!r}")
+    bounds = rest[0] if rest else None
+    if isinstance(bounds, str):
+        low, high = (float(end) for end in bounds[1:-1].split(","))
+        if not ((low <= value if bounds[0] == "[" else low < value)
+                and (value <= high if bounds[-1] == "]" else value < high)):
+            raise ValueError(f"{label} must lie in {bounds}, got {value!r}")
+    elif bounds is not None and not value >= bounds:
+        raise ValueError(f"{label} must be at least {bounds}, got {value!r}")
     return value
 
 
 def _resolve(args) -> dict:
     """Each option of the subcommand: its flag, else its --config entry, else its default.
 
-    Every value is checked by its option's kind and least value, a
+    Every value is checked by its option's kind and bounds, a
     config entry also when a flag overrides it, and config keys that
     name no option are rejected.  The result, in key order, is what the
     subcommand runs with and records.
@@ -373,8 +380,6 @@ def _canonical_lane_points(n_lanes: int, m_points: int, spacing: float = 3.5,
 
 def cmd_masks(args, config: dict) -> int:
     n, m, history, keep = config["lanes"], config["points"], config["history"], config["keep"]
-    if history < 0 or keep < 0:
-        raise ValueError(f"history and keep must be >= 0, got {history} and {keep}")
 
     # Row degrees come from the index lists' shapes; no (queries x keys) mask is built.
     pts = _canonical_lane_points(n, m)

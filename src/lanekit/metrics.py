@@ -6,6 +6,10 @@ extent.  A prediction and a target match pointwise where their (x, z)
 distance stays below the point threshold; a pair is admissible when
 enough of the co-visible grid points match, and a minimum-cost
 one-to-one assignment over admissible pairs yields the true positives.
+A frame's lanes are compared as arrays, every (target, prediction) pair
+at once.  A range bin's x/z error is the sum of |dx| or |dz| over the
+matched pairs' co-visible grid points in the bin, over all frames,
+divided by the number of those points.
 
 The chamfer variant skips the grid and scores the lane samples directly.
 It is point-to-point: a pair's distance is the mean, over every target
@@ -99,6 +103,13 @@ class FrameMatch:
     fn: int = 0
 
 
+def _kept_on_grid(lanes, grid):
+    """Indices, then (lanes, grid) x, z and visibility, of the lanes with two or more visible grid points."""
+    rows = [resample_on_grid(l, grid) for l in lanes]
+    kept = [k for k, row in enumerate(rows) if row[2].sum() >= 2]
+    return (kept, *(np.array([rows[k][i] for k in kept]) for i in range(3)))
+
+
 def match_lanes(pred_lanes, gt_lanes, cfg: MatchConfig) -> FrameMatch:
     """Grid-based one-to-one lane matching.
 
@@ -108,48 +119,38 @@ def match_lanes(pred_lanes, gt_lanes, cfg: MatchConfig) -> FrameMatch:
     maximizes admissible matches first, then minimizes mean distance.
     """
     grid = cfg.y_grid
-    pred = [(k, *resample_on_grid(np.asarray(l, dtype=float), grid)) for k, l in enumerate(pred_lanes)]
-    gts = [(k, *resample_on_grid(np.asarray(l, dtype=float), grid)) for k, l in enumerate(gt_lanes)]
-    pred = [p for p in pred if p[3].sum() >= 2]
-    gts = [g for g in gts if g[3].sum() >= 2]
+    pred_ids, px, pz, pvis = _kept_on_grid(pred_lanes, grid)
+    gt_ids, gx, gz, gvis = _kept_on_grid(gt_lanes, grid)
+    if not (pred_ids and gt_ids):
+        return FrameMatch(fp=len(pred_ids), fn=len(gt_ids))
 
-    result = FrameMatch()
-    n_pred, n_gt = len(pred), len(gts)
-    if n_pred == 0 or n_gt == 0:
-        result.fp = n_pred
-        result.fn = n_gt
-        return result
+    # (targets, predictions, grid) arrays
+    dx = px[None] - gx[:, None]
+    dz = pz[None] - gz[:, None]
+    dist = np.hypot(dx, dz)
+    both = gvis[:, None] & pvis[None]
+    n_both = both.sum(axis=2)
+    matched = np.count_nonzero(both & (dist < cfg.point_threshold), axis=2)
+    # a pair with no co-visible point has matched = 0, so it fails any match fraction
+    admissible = matched / np.maximum(n_both, 1) >= cfg.match_fraction
+    # Mean distance over co-visible points.  Pairs with one count are reduced
+    # together, a row each, which sums as a pair's own `dist[both].mean()` does:
+    # the costs stay bit-equal, so exactly tied assignments resolve as before.
+    cost = np.full(n_both.shape, _INADMISSIBLE)
+    for count in np.unique(n_both[admissible]):
+        same = admissible & (n_both == count)
+        cost[same] = dist[same][both[same]].reshape(-1, count).mean(axis=1)
+    iou = n_both / (gvis[:, None] | pvis[None]).sum(axis=2)
 
-    cost = np.full((n_gt, n_pred), _INADMISSIBLE)
-    details = {}
-    for gi, (_, gx, gz, gvis) in enumerate(gts):
-        for pi, (_, px, pz, pvis) in enumerate(pred):
-            both = gvis & pvis
-            if not both.any():
-                continue
-            dist = np.hypot(px[both] - gx[both], pz[both] - gz[both])
-            matched = np.count_nonzero(dist < cfg.point_threshold)
-            if matched / both.sum() < cfg.match_fraction:
-                continue
-            cost[gi, pi] = dist.mean()
-            details[(gi, pi)] = (np.abs(px[both] - gx[both]), np.abs(pz[both] - gz[both]), grid[both])
-
-    rows, cols = linear_sum_assignment(cost)
-    for gi, pi in zip(rows, cols):
-        if cost[gi, pi] >= _INADMISSIBLE:
-            continue
-        abs_dx, abs_dz, ys = details[(gi, pi)]
-        gvis, pvis = gts[gi][3], pred[pi][3]
-        union = np.count_nonzero(gvis | pvis)
-        iou = np.count_nonzero(gvis & pvis) / union if union else None
-        result.pairs.append(MatchedPair(
-            pred_index=pred[pi][0], gt_index=gts[gi][0],
-            abs_dx=abs_dx, abs_dz=abs_dz, grid_y=ys, iou=iou,
-        ))
-    result.tp = len(result.pairs)
-    result.fp = n_pred - result.tp
-    result.fn = n_gt - result.tp
-    return result
+    pairs = []
+    for gi, pi in zip(*linear_sum_assignment(cost)):
+        if cost[gi, pi] < _INADMISSIBLE:
+            on = both[gi, pi]
+            pairs.append(MatchedPair(pred_index=pred_ids[pi], gt_index=gt_ids[gi],
+                                     abs_dx=np.abs(dx[gi, pi, on]), abs_dz=np.abs(dz[gi, pi, on]),
+                                     grid_y=grid[on], iou=float(iou[gi, pi])))
+    tp = len(pairs)
+    return FrameMatch(pairs, tp, len(pred_ids) - tp, len(gt_ids) - tp)
 
 
 def f1_score(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
@@ -158,26 +159,6 @@ def f1_score(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return f1, precision, recall
-
-
-def xz_errors(match: FrameMatch, bins=None) -> dict[tuple[float, float], tuple[float, float] | None]:
-    """Per-bin mean |dx| and |dz| over matched, co-visible grid points; empty bins are None."""
-    if bins is None:
-        bins = MatchConfig().bins
-    out = {}
-    for lo, hi in bins:
-        dx_parts, dz_parts = [], []
-        for pair in match.pairs:
-            inside = (pair.grid_y >= lo) & (pair.grid_y < hi)
-            if inside.any():
-                dx_parts.append(pair.abs_dx[inside])
-                dz_parts.append(pair.abs_dz[inside])
-        if dx_parts:
-            out[(lo, hi)] = (float(np.concatenate(dx_parts).mean()),
-                             float(np.concatenate(dz_parts).mean()))
-        else:
-            out[(lo, hi)] = None
-    return out
 
 
 def vis_iou(match: FrameMatch) -> float | None:
@@ -252,13 +233,12 @@ class EvalAccumulator:
         self.tp += match.tp
         self.fp += match.fp
         self.fn += match.fn
-        for key, value in xz_errors(match, self.cfg.bins).items():
-            if value is None:
-                continue
-            count = sum(np.count_nonzero((p.grid_y >= key[0]) & (p.grid_y < key[1]))
-                        for p in match.pairs)
-            dx_sum, dz_sum, n = self.bin_sums.get(key, (0.0, 0.0, 0))
-            self.bin_sums[key] = (dx_sum + value[0] * count, dz_sum + value[1] * count, n + count)
+        for pair in match.pairs:
+            for key in self.cfg.bins:
+                inside = (pair.grid_y >= key[0]) & (pair.grid_y < key[1])
+                dx_sum, dz_sum, n = self.bin_sums.get(key, (0.0, 0.0, 0))
+                self.bin_sums[key] = (dx_sum + float(pair.abs_dx[inside].sum()),
+                                      dz_sum + float(pair.abs_dz[inside].sum()), n + int(inside.sum()))
         valid = [p for p in match.pairs if p.iou is not None]
         self.iou_sum += sum(p.iou for p in valid)
         self.iou_count += len(valid)
@@ -273,12 +253,8 @@ class EvalAccumulator:
         f1, precision, recall = f1_score(self.tp, self.fp, self.fn)
         bins = {}
         for key in self.cfg.bins:
-            entry = self.bin_sums.get(key)
-            label = f"{key[0]:g}-{key[1]:g}m"
-            if entry and entry[2] > 0:
-                bins[label] = {"x_error": entry[0] / entry[2], "z_error": entry[1] / entry[2]}
-            else:
-                bins[label] = None
+            dx_sum, dz_sum, n = self.bin_sums.get(key, (0.0, 0.0, 0))
+            bins[f"{key[0]:g}-{key[1]:g}m"] = {"x_error": dx_sum / n, "z_error": dz_sum / n} if n else None
         c_f1, c_precision, c_recall = f1_score(self.chamfer_tp, self.chamfer_pred - self.chamfer_tp,
                                                self.chamfer_gt - self.chamfer_tp)
         return {

@@ -119,7 +119,8 @@ def gen_scene(spec: SceneSpec) -> World:
     laterally adjacent lanes keep a constant orthogonal gap and every
     lane point lies on the surface.  The trajectory advances
     speed * frame_interval of arclength per frame, with the vehicle up
-    vector equal to the surface normal.
+    vector equal to the surface normal; a drive past the centerline's end
+    is rejected.
     """
     y = np.arange(0.0, spec.lane_length + spec.sample_step, spec.sample_step)
     center = _centerline(spec, y)
@@ -137,6 +138,10 @@ def gen_scene(spec: SceneSpec) -> World:
 
     poses, stamps = [], []
     step = spec.speed * spec.frame_interval
+    if (spec.frames - 1) * step > arclength[-1]:
+        raise ValueError(f"{spec.frames} frames at {step:g} m a frame drive "
+                         f"{(spec.frames - 1) * step:g} m, past the end of the lane: "
+                         f"lane length {spec.lane_length:g} m gives {arclength[-1]:g} m of centerline")
     for f in range(spec.frames):
         lam = f * step
         yf = np.array([float(np.interp(lam, arclength, y))])

@@ -1,6 +1,9 @@
 import json
+import re
+import shlex
 import shutil
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,7 +293,8 @@ class TestMasksCommand:
         code = main(["masks", "--lanes", "3", "--points", "5",
                      "--history", str(history), "--keep", str(keep)])
         assert code == 2
-        assert "history and keep" in json.loads(capsys.readouterr().err)["error"]
+        flag, value = ("--history", history) if history < 0 else ("--keep", keep)
+        assert json.loads(capsys.readouterr().err)["error"] == f"{flag} must be at least 0, got {value}"
 
     @pytest.mark.parametrize("points", [3, 1, 0, -1])
     def test_too_few_points_names_the_flag(self, capsys, points):
@@ -301,7 +305,7 @@ class TestMasksCommand:
         code = main(["masks", "--lanes", "3", "--points", "5", "--history", "1", "--keep", "2",
                      "--k-nearest", "-2"])
         assert code == 2
-        assert "k_nearest" in json.loads(capsys.readouterr().err)["error"]
+        assert json.loads(capsys.readouterr().err)["error"] == "--k-nearest must be at least 0, got -2"
 
 
 class TestSplineCommand:
@@ -534,13 +538,31 @@ def test_temporal_demo_records_its_weights(tmp_path, capsys):
     (["temporal-demo", "--history", "0"], None, "--history"),
     (["temporal-demo", "--control-points", "3"], None, "--control-points"),
     (["temporal-demo", "--perturb", "-0.5"], None, "--perturb"),
+    (["synth", "{out}", "--label-range", "-1"], None, "--label-range must lie in (0, inf)"),
+    (["synth", "{out}", "--label-range", "0"], None, "--label-range must lie in (0, inf)"),
+    (["synth", "{out}", "--lane-spacing", "0"], None, "--lane-spacing must lie in (0, inf)"),
+    (["synth", "{out}", "--speed", "0"], None, "--speed must lie in (0, inf)"),
+    (["synth", "{out}", "--frame-interval", "-1"], None, "--frame-interval must lie in (0, inf)"),
+    (["synth", "{out}"], {"speed": -2}, "config key 'speed' must lie in (0, inf)"),
+    (["temporal-demo", "--alpha", "-1"], None, "--alpha must lie in [0, 1]"),
+    (["temporal-demo", "--alpha", "1.5"], None, "--alpha must lie in [0, 1]"),
+    (["masks", "--k-nearest", "-1"], None, "--k-nearest must be at least 0"),
+    (["masks", "--history", "-1"], None, "--history must be at least 0"),
+    (["masks", "--keep", "-1"], None, "--keep must be at least 0"),
+    (["synth", "{out}", "--frames", "3", "--num-lanes", "2", "--lane-length", "1"], None,
+     "3 frames at 1 m a frame drive 2 m, past the end of the lane: lane length 1 m"),
+    (["synth", "{out}", "--frames", "12", "--lane-length", "10.5"], None, "lane length 10.5 m"),
 ], ids=["alpha-null", "weight-null", "curvature-object", "curvature-string", "unknown-key", "seed-float",
         "int-beyond-float", "overridden-entry-checked", "seed-bool", "path-key", "near-range-nan", "gate-nan",
         "station-spacing-zero", "station-spacing-negative", "pixel-noise-nan", "lane-spacing-nan",
         "curvature-inf", "y-end-inf", "synth-no-lanes", "synth-negative-lanes", "config-no-lanes",
         "negative-lane-length", "synth-negative-seed", "synth-no-frames", "negative-pixel-noise",
         "masks-negative-seed", "masks-no-lanes", "negative-keep", "demo-no-lanes", "demo-negative-seed",
-        "demo-no-frames", "no-history", "too-few-control-points", "negative-perturb"])
+        "demo-no-frames", "no-history", "too-few-control-points", "negative-perturb",
+        "negative-label-range", "zero-label-range", "zero-lane-spacing", "zero-speed",
+        "negative-frame-interval", "config-negative-speed", "negative-alpha", "alpha-above-one",
+        "negative-k-nearest", "masks-negative-history", "masks-negative-keep", "lane-shorter-than-drive",
+        "lane-end-shortens-last-step"])
 def test_bad_option_fails_naming_it(tmp_path, capsys, scene, argv, config, option):
     out = str(tmp_path / "out")
     argv = [arg.format(scene=scene, out=out) for arg in argv]
@@ -555,3 +577,19 @@ def test_bad_option_fails_naming_it(tmp_path, capsys, scene, argv, config, optio
     assert main(argv) == 2
     assert option in json.loads(capsys.readouterr().err)["error"]
     assert list(tmp_path.iterdir()) == ([tmp_path / "config.json"] if config is not None else [])
+
+
+def readme_commands():
+    """The `lanekit ...` commands of the README's bash blocks, continuation lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```bash\n(.*?)```", text, flags=re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("lanekit ")]
+
+
+def test_readme_commands_resolve():
+    commands = readme_commands()
+    assert sorted(argv[0] for argv in commands) == sorted(cli.OPTIONS)
+    for argv in commands:
+        args = cli.build_parser().parse_args(argv)
+        assert cli._resolve(args).keys() == cli.OPTIONS[argv[0]].keys()

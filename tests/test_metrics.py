@@ -5,16 +5,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 
 from lanekit.metrics import (
     EvalAccumulator,
+    FrameMatch,
     MatchConfig,
+    MatchedPair,
     f1_score,
     match_lanes,
     resample_on_grid,
     unilateral_chamfer,
     vis_iou,
-    xz_errors,
 )
 
 
@@ -54,7 +56,96 @@ class TestResample:
         assert not vis[CFG.y_grid > 52].any()
 
 
+def loop_match_lanes(pred_lanes, gt_lanes, cfg):
+    """Reference matcher: one (target, prediction) pair at a time."""
+    grid = cfg.y_grid
+    pred = [(k, *resample_on_grid(np.asarray(l, dtype=float), grid)) for k, l in enumerate(pred_lanes)]
+    gts = [(k, *resample_on_grid(np.asarray(l, dtype=float), grid)) for k, l in enumerate(gt_lanes)]
+    pred = [p for p in pred if p[3].sum() >= 2]
+    gts = [g for g in gts if g[3].sum() >= 2]
+
+    result = FrameMatch()
+    n_pred, n_gt = len(pred), len(gts)
+    if n_pred == 0 or n_gt == 0:
+        result.fp = n_pred
+        result.fn = n_gt
+        return result
+
+    cost = np.full((n_gt, n_pred), 1e9)
+    details = {}
+    for gi, (_, gx, gz, gvis) in enumerate(gts):
+        for pi, (_, px, pz, pvis) in enumerate(pred):
+            both = gvis & pvis
+            if not both.any():
+                continue
+            dist = np.hypot(px[both] - gx[both], pz[both] - gz[both])
+            matched = np.count_nonzero(dist < cfg.point_threshold)
+            if matched / both.sum() < cfg.match_fraction:
+                continue
+            cost[gi, pi] = dist.mean()
+            details[(gi, pi)] = (np.abs(px[both] - gx[both]), np.abs(pz[both] - gz[both]), grid[both])
+
+    rows, cols = linear_sum_assignment(cost)
+    for gi, pi in zip(rows, cols):
+        if cost[gi, pi] >= 1e9:
+            continue
+        abs_dx, abs_dz, ys = details[(gi, pi)]
+        gvis, pvis = gts[gi][3], pred[pi][3]
+        union = np.count_nonzero(gvis | pvis)
+        iou = np.count_nonzero(gvis & pvis) / union if union else None
+        result.pairs.append(MatchedPair(
+            pred_index=pred[pi][0], gt_index=gts[gi][0],
+            abs_dx=abs_dx, abs_dz=abs_dz, grid_y=ys, iou=iou,
+        ))
+    result.tp = len(result.pairs)
+    result.fp = n_pred - result.tp
+    result.fn = n_gt - result.tp
+    return result
+
+
+def random_frame(rng):
+    """Targets and predictions of one random frame: 0-6 lanes a side, 1-60 points a lane,
+    partial visibility.  Some frames repeat a target lane, and in 30 % of frames the predictions
+    copy the targets exactly, so pair costs tie exactly."""
+    def random_lane():
+        n = int(rng.integers(1, 61))
+        y = np.sort(rng.uniform(-10.0, 120.0, n))
+        x = rng.uniform(-8.0, 8.0) + rng.normal(0.0, 0.3, n)
+        z = rng.normal(0.0, 0.5) + rng.normal(0.0, 0.2, n)
+        v = (rng.uniform(size=n) < rng.uniform(0.3, 1.0)).astype(float)
+        return np.column_stack([x, y, z, v])
+
+    gts = [random_lane() for _ in range(rng.integers(0, 7))]
+    if gts and rng.uniform() < 0.2:
+        gts.insert(int(rng.integers(0, len(gts) + 1)), gts[int(rng.integers(0, len(gts)))].copy())
+    if rng.uniform() < 0.3:
+        preds = [g.copy() for g in gts]
+    else:
+        preds = [random_lane() for _ in range(rng.integers(0, 7))]
+    return preds, gts
+
+
 class TestMatchLanes:
+    def test_equals_pairwise_loop(self):
+        rng = np.random.default_rng(2024)
+        seen = {"dropped": 0, "empty": 0, "copied": 0, "repeated": 0, "pairs": 0}
+        for frame in range(600):
+            cfg = MatchConfig(point_threshold=(0.5, 1.5, 3.0)[frame % 3], y_step=(2.0, 5.0)[frame % 2])
+            preds, gts = random_frame(rng)
+            got, want = match_lanes(preds, gts, cfg), loop_match_lanes(preds, gts, cfg)
+            assert (got.tp, got.fp, got.fn) == (want.tp, want.fp, want.fn)
+            assert len(got.pairs) == len(want.pairs)
+            for a, b in zip(got.pairs, want.pairs):
+                assert (a.pred_index, a.gt_index, a.iou) == (b.pred_index, b.gt_index, b.iou)
+                for name in ("abs_dx", "abs_dz", "grid_y"):
+                    assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+            seen["dropped"] += want.fp + want.fn < len(preds) + len(gts) - 2 * want.tp
+            seen["empty"] += not preds or not gts
+            seen["copied"] += bool(gts) and all(p is not g and np.array_equal(p, g) for p, g in zip(preds, gts))
+            seen["repeated"] += any(np.array_equal(g, h) for g, h in itertools.combinations(gts, 2))
+            seen["pairs"] += want.tp
+        assert all(count >= 20 for count in seen.values()), seen
+
     def test_identical_single_lane(self):
         match = match_lanes([lane(0.0)], [lane(0.0)], CFG)
         assert (match.tp, match.fp, match.fn) == (1, 0, 0)
@@ -141,34 +232,59 @@ class TestF1:
             assert f1 <= min(2 * p, 2 * r) + 1e-12
 
 
+def frame_errors(pred_lanes, gt_lanes, cfg=CFG):
+    """The errors entry of a one-frame report, keyed by bin label."""
+    acc = EvalAccumulator(cfg=cfg)
+    acc.add_frame(pred_lanes, gt_lanes)
+    return acc.report()["errors"]
+
+
 class TestXZErrors:
     def test_identical_lanes_zero(self):
-        match = match_lanes([lane(0.0)], [lane(0.0)], CFG)
-        errors = xz_errors(match, CFG.bins)
-        for value in errors.values():
-            if value is not None:
-                assert value == (0.0, 0.0)
+        for entry in frame_errors([lane(0.0)], [lane(0.0)]).values():
+            if entry is not None:
+                assert entry == {"x_error": 0.0, "z_error": 0.0}
 
     def test_constant_offset_everywhere(self):
-        match = match_lanes([lane(0.1)], [lane(0.0)], CFG)
-        errors = xz_errors(match, CFG.bins)
-        assert errors[(0.0, 40.0)][0] == pytest.approx(0.1, abs=1e-12)
-        assert errors[(40.0, 100.0)][0] == pytest.approx(0.1, abs=1e-12)
+        errors = frame_errors([lane(0.1)], [lane(0.0)])
+        assert errors["0-40m"]["x_error"] == pytest.approx(0.1, abs=1e-12)
+        assert errors["40-100m"]["x_error"] == pytest.approx(0.1, abs=1e-12)
 
     def test_piecewise_offsets_fall_into_bins(self):
         pts = lane(0.0)
         pts[:, 0] = np.where(pts[:, 1] < 40.0, 0.1, 0.3)
-        match = match_lanes([pts], [lane(0.0)], CFG)
-        errors = xz_errors(match, CFG.bins)
-        assert errors[(0.0, 40.0)][0] == pytest.approx(0.1, abs=1e-12)
-        assert errors[(40.0, 100.0)][0] == pytest.approx(0.3, abs=1e-12)
+        errors = frame_errors([pts], [lane(0.0)])
+        assert errors["0-40m"]["x_error"] == pytest.approx(0.1, abs=1e-12)
+        assert errors["40-100m"]["x_error"] == pytest.approx(0.3, abs=1e-12)
 
     def test_empty_bins_absent(self):
         cfg = MatchConfig(y_max=90.0)  # grid never reaches the extended bins
-        match = match_lanes([lane(0.0, y_hi=90.0)], [lane(0.0, y_hi=90.0)], cfg)
-        errors = xz_errors(match, cfg.bins)
-        assert errors[(100.0, 150.0)] is None
-        assert errors[(150.0, 200.0)] is None
+        errors = frame_errors([lane(0.0, y_hi=90.0)], [lane(0.0, y_hi=90.0)], cfg)
+        assert errors["100-150m"] is None
+        assert errors["150-200m"] is None
+
+    def test_bin_error_is_point_sum_over_count(self):
+        rng = np.random.default_rng(11)
+        acc = EvalAccumulator()
+        sums = {key: [0.0, 0.0, 0] for key in CFG.bins}
+        for _ in range(20):
+            gts = [lane(x, y_lo=rng.uniform(0, 30), y_hi=rng.uniform(60, 140), z=rng.normal(0, 0.1))
+                   for x in (-3.5, 0.0, 3.5)]
+            preds = [g + np.column_stack([rng.normal(0, 0.2, (len(g), 3)), np.zeros(len(g))]) for g in gts]
+            for pair in acc.add_frame(preds, gts).pairs:
+                for key in CFG.bins:
+                    inside = (pair.grid_y >= key[0]) & (pair.grid_y < key[1])
+                    sums[key][0] += pair.abs_dx[inside].sum()
+                    sums[key][1] += pair.abs_dz[inside].sum()
+                    sums[key][2] += np.count_nonzero(inside)
+        errors = acc.report()["errors"]
+        for key, (dx_sum, dz_sum, count) in sums.items():
+            entry = errors[f"{key[0]:g}-{key[1]:g}m"]
+            if count == 0:
+                assert entry is None
+            else:
+                assert entry == {"x_error": dx_sum / count, "z_error": dz_sum / count}
+        assert errors["0-40m"] is not None and errors["100-150m"] is not None
 
 
 class TestVisIoU:
