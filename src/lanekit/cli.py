@@ -78,11 +78,11 @@ OPTIONS = {
         "label-range": (_float, 250.0, "(0, inf)"),
     },
     "autolabel": {
-        "near-range": (_float, 25.0),
-        "label-range": (_float, 250.0),
-        "station-spacing": (_float, 2.0),
-        "gate": (_float, 1.0),
-        "min-hits": (frames._int, 3),
+        "near-range": (_float, 25.0, "(0, inf)"),
+        "label-range": (_float, 250.0, "(0, inf)"),
+        "station-spacing": (_float, 2.0, "(0, inf)"),
+        "gate": (_float, 1.0, "(0, inf)"),
+        "min-hits": (frames._int, 3, 1),
     },
     "eval": {
         "threshold": (_float, 1.5),
@@ -115,8 +115,8 @@ OPTIONS = {
         "alpha": (_float, 0.5, "[0, 1]"),
         "history": (frames._int, 3, 1),
         "keep": (frames._int, 10, 0),
-        "occlusion-start": (frames._int, 40),
-        "occlusion-frames": (frames._int, 30),
+        "occlusion-start": (frames._int, 40, 0),
+        "occlusion-frames": (frames._int, 30, 0),
         "perturb": (_float, 0.0, 0.0),
         "seed": (frames._int, 0, 0),
         "weights": (_weights, {}),
@@ -413,10 +413,12 @@ def cmd_masks(args, config: dict) -> int:
 def cmd_temporal_demo(args, config: dict) -> int:
     perturb, occl_start = config["perturb"], config["occlusion-start"]
     weights = losses.LossWeights(**config["weights"])
-    spec = synth.SceneSpec(num_lanes=config["lanes"], frames=config["frames"], seed=config["seed"],
-                           curvature=(0.0,), elevation=(0.0, config["grade"]))
-    world = synth.gen_scene(spec)
     curve_cfg = splines.CurveConfig(m=config["control-points"], y_start=3.0, y_end=103.0)
+    # the lane covers the drive (1 m a frame), the curves' reach past the last pose and a margin
+    spec = synth.SceneSpec(num_lanes=config["lanes"], frames=config["frames"], seed=config["seed"],
+                           curvature=(0.0,), elevation=(0.0, config["grade"]),
+                           lane_length=max(400.0, config["frames"] + curve_cfg.y_end + 20.0))
+    world = synth.gen_scene(spec)
     y_grid = np.linspace(curve_cfg.y_start, curve_cfg.y_end, 51)
     rng = np.random.default_rng(config["seed"])
 

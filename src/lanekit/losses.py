@@ -10,6 +10,8 @@ moving average of past predictions carried along with the ego motion.
 Proposals are sampled at a target's y positions through one basis,
 built once per target and call; the assignment costs every proposal
 against a target in one (samples, m) @ (proposals, m, 4) product.
+Assignments, here and in the tracker's frame-to-frame association,
+are solved by `lanekit.assignment`.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from .assignment import linear_sum_assignment
 from .splines import CurveConfig, arg_for_y, basis_matrix
 from .temporal import EgoPose, apply_transform, relative_transform
 

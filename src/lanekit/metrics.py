@@ -5,7 +5,8 @@ Lanes are resampled on a uniform longitudinal grid over their visible
 extent.  A prediction and a target match pointwise where their (x, z)
 distance stays below the point threshold; a pair is admissible when
 enough of the co-visible grid points match, and a minimum-cost
-one-to-one assignment over admissible pairs yields the true positives.
+one-to-one assignment over admissible pairs (`lanekit.assignment`)
+yields the true positives.
 A frame's lanes are compared as arrays, every (target, prediction) pair
 at once.  A range bin's x/z error is the sum of |dx| or |dz| over the
 matched pairs' co-visible grid points in the bin, over all frames,
@@ -25,7 +26,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+
+from .assignment import linear_sum_assignment
 
 _INADMISSIBLE = 1e9
 

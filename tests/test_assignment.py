@@ -1,0 +1,113 @@
+"""lanekit.assignment against scipy's linear_sum_assignment as the oracle,
+and a check that the runtime imports no scipy."""
+
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment as scipy_assignment
+
+import lanekit
+from lanekit.assignment import linear_sum_assignment
+
+# 4 targets x 20 proposals and 20 tracks x 20 lanes are the detector's two solves
+DETECTOR_SHAPES = [(4, 20), (20, 20), (20, 4)]
+UNIT = st.floats(0.0, 1.0)
+ELEMENTS = {
+    "uniform": UNIT,
+    "ties": st.sampled_from([0.0, 1.0, 2.0]),
+    "inf": st.one_of(UNIT, UNIT, st.just(np.inf)),
+    "filler": st.one_of(UNIT, st.just(1e6)),
+}
+
+
+@st.composite
+def cost_matrices(draw):
+    shape = draw(st.one_of(st.tuples(st.integers(0, 8), st.integers(0, 8)),
+                           st.sampled_from(DETECTOR_SHAPES)))
+    kind = draw(st.sampled_from(sorted(ELEMENTS) + ["repeated"]))
+    if kind == "repeated":
+        row = draw(arrays(float, (1, shape[1]), elements=ELEMENTS["ties"] | UNIT))
+        cost = np.repeat(row, shape[0], axis=0)
+    else:
+        cost = draw(arrays(float, shape, elements=ELEMENTS[kind]))
+    if cost.size and draw(st.integers(0, 9)) == 0:
+        flat = draw(st.integers(0, cost.size - 1))
+        cost.flat[flat] = draw(st.sampled_from([np.nan, -np.inf]))
+    return cost
+
+
+def solve(solver, cost):
+    """(rows, cols) from `solver`, or the ValueError message it raised."""
+    try:
+        return solver(cost.copy())
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(cost=cost_matrices())
+def test_same_pairs_and_errors_as_scipy(cost):
+    got, want = solve(linear_sum_assignment, cost), solve(scipy_assignment, cost)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    for g, w in zip(got, want):
+        assert g.dtype == np.intp
+        assert g.tolist() == w.tolist()
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0)])
+def test_empty_matrix_gives_empty_intp_arrays(shape):
+    rows, cols = linear_sum_assignment(np.zeros(shape))
+    assert rows.dtype == cols.dtype == np.intp
+    assert rows.size == cols.size == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_invalid_entries_raise(bad):
+    cost = np.ones((3, 4))
+    cost[1, 2] = bad
+    with pytest.raises(ValueError, match="invalid numeric entries"):
+        linear_sum_assignment(cost)
+
+
+def test_infeasible_matrix_raises():
+    cost = np.array([[1.0, np.inf], [2.0, np.inf]])
+    with pytest.raises(ValueError, match="infeasible"):
+        linear_sum_assignment(cost)
+    with pytest.raises(ValueError, match="infeasible"):
+        linear_sum_assignment(cost.T)
+
+
+def test_constant_matrix_gives_identity():
+    rows, cols = linear_sum_assignment(np.zeros((4, 6)))
+    assert rows.tolist() == cols.tolist() == [0, 1, 2, 3]
+
+
+def test_tall_matrix_rows_come_out_ascending():
+    cost = np.array([[5.0, 0.0], [0.0, 5.0], [1.0, 1.0]])
+    rows, cols = linear_sum_assignment(cost)
+    assert rows.tolist() == [0, 1] and cols.tolist() == [1, 0]
+
+
+def test_not_a_matrix_raises():
+    with pytest.raises(ValueError, match="2-D"):
+        linear_sum_assignment(np.zeros(3))
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(lanekit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import json, sys, lanekit.cli; "
+            "print(json.dumps(sorted(k for k in sys.modules if k.startswith('scipy'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert json.loads(out) == []

@@ -433,6 +433,11 @@ class TestTemporalDemoCommand:
             assert b["weighted_total"] - a["weighted_total"] == pytest.approx(1.9 * a["temporal_loss"])
         assert any(t["temporal_loss"] > 0 for t in default)
 
+    def test_runs_past_the_default_lane_length(self, capsys):
+        # 402 frames drive 401 m at 1 m a frame: the lane grows past 400 m with --frames
+        assert main(["temporal-demo", "--frames", "402"]) == 0
+        assert json.loads(capsys.readouterr().out)["frames"] == 402
+
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):
@@ -516,8 +521,8 @@ def test_temporal_demo_records_its_weights(tmp_path, capsys):
     (["eval", "--pred", "{scene}.gt.jsonl", "--gt", "{scene}.gt.jsonl"], {"out": "report.json"}, "out"),
     (["autolabel", "--near-range", "nan"], None, "--near-range"),
     (["autolabel", "--gate", "nan"], None, "--gate"),
-    (["autolabel", "--station-spacing", "0"], None, "station_spacing"),
-    (["autolabel", "--station-spacing", "-1"], None, "station_spacing"),
+    (["autolabel", "--station-spacing", "0"], None, "--station-spacing must lie in (0, inf)"),
+    (["autolabel", "--station-spacing", "-1"], None, "--station-spacing must lie in (0, inf)"),
     (["synth", "{out}", "--pixel-noise", "nan"], None, "--pixel-noise"),
     (["synth", "{out}", "--lane-spacing", "nan"], None, "--lane-spacing"),
     (["synth", "{out}", "--curvature", "0", "inf"], None, "--curvature"),
@@ -552,6 +557,12 @@ def test_temporal_demo_records_its_weights(tmp_path, capsys):
     (["synth", "{out}", "--frames", "3", "--num-lanes", "2", "--lane-length", "1"], None,
      "3 frames at 1 m a frame drive 2 m, past the end of the lane: lane length 1 m"),
     (["synth", "{out}", "--frames", "12", "--lane-length", "10.5"], None, "lane length 10.5 m"),
+    (["autolabel", "--near-range", "0"], None, "--near-range must lie in (0, inf)"),
+    (["autolabel", "--label-range", "-1"], None, "--label-range must lie in (0, inf)"),
+    (["autolabel", "--gate", "0"], None, "--gate must lie in (0, inf)"),
+    (["autolabel", "--min-hits", "-3"], None, "--min-hits must be at least 1"),
+    (["temporal-demo", "--occlusion-start", "-1"], None, "--occlusion-start must be at least 0"),
+    (["temporal-demo", "--occlusion-frames", "-5"], None, "--occlusion-frames must be at least 0"),
 ], ids=["alpha-null", "weight-null", "curvature-object", "curvature-string", "unknown-key", "seed-float",
         "int-beyond-float", "overridden-entry-checked", "seed-bool", "path-key", "near-range-nan", "gate-nan",
         "station-spacing-zero", "station-spacing-negative", "pixel-noise-nan", "lane-spacing-nan",
@@ -562,7 +573,8 @@ def test_temporal_demo_records_its_weights(tmp_path, capsys):
         "negative-label-range", "zero-label-range", "zero-lane-spacing", "zero-speed",
         "negative-frame-interval", "config-negative-speed", "negative-alpha", "alpha-above-one",
         "negative-k-nearest", "masks-negative-history", "masks-negative-keep", "lane-shorter-than-drive",
-        "lane-end-shortens-last-step"])
+        "lane-end-shortens-last-step", "zero-near-range", "autolabel-negative-label-range", "zero-gate",
+        "negative-min-hits", "negative-occlusion-start", "negative-occlusion-frames"])
 def test_bad_option_fails_naming_it(tmp_path, capsys, scene, argv, config, option):
     out = str(tmp_path / "out")
     argv = [arg.format(scene=scene, out=out) for arg in argv]
