@@ -491,18 +491,31 @@ class LineTracker:
         return [t for t in self.tracks if t.hits >= self.min_hits]
 
 
+def mature_polylines(tracker: LineTracker) -> list[tuple[int, int, np.ndarray]]:
+    """(track id, category, world polyline) of every mature track, in track order.
+
+    Tracking is over before labels are emitted, so one call serves every
+    frame's `emit_frame_labels`.
+    """
+    return [(track.track_id, track.category, tracker.track_polyline(track))
+            for track in tracker.mature_tracks()]
+
+
 def emit_frame_labels(tracker: LineTracker, pose: EgoPose, max_range: float = 250.0,
-                      step: float = 2.0, min_points: int = 2):
+                      step: float = 2.0, min_points: int = 2, polylines=None):
     """Per-frame local labels: mature track polylines in the frame's ego coordinates.
 
     Polylines are clipped to [0, max_range] ahead of the ego and
     resampled at uniform local y.  Returns (lane_id, category,
-    points (k, 4)) tuples with full visibility.
+    points (k, 4)) tuples with full visibility.  `polylines` is
+    `mature_polylines(tracker)`, built once when many frames are
+    emitted from one finished tracker; by default it is built per call.
     """
+    if polylines is None:
+        polylines = mature_polylines(tracker)
     inv = pose.inverse_matrix()
     lanes = []
-    for track in tracker.mature_tracks():
-        world = tracker.track_polyline(track)
+    for track_id, category, world in polylines:
         if world.shape[0] < min_points:
             continue
         local = apply_transform(inv, world)
@@ -519,5 +532,5 @@ def emit_frame_labels(tracker: LineTracker, pose: EgoPose, max_range: float = 25
         x = np.interp(grid, local[:, 1], local[:, 0])
         z = np.interp(grid, local[:, 1], local[:, 2])
         points = np.column_stack([x, grid, z, np.ones_like(grid)])
-        lanes.append((track.track_id, track.category, points))
+        lanes.append((track_id, category, points))
     return lanes

@@ -30,7 +30,8 @@ import sys
 import numpy as np
 
 from . import attention, frames, losses, metrics, splines, synth
-from .autolabel import CameraModel, LineTracker, build_surface, emit_frame_labels, lift_detections
+from .autolabel import (CameraModel, LineTracker, build_surface, emit_frame_labels, lift_detections,
+                        mature_polylines)
 from .frames import Lane, LaneFrame, SchemaError
 from .temporal import MemoryQueue
 
@@ -219,14 +220,16 @@ def cmd_autolabel(args, config: dict) -> int:
                                      near_range=near_range))
         frame_times.append((frame_id, timestamp))
 
+    polylines = mature_polylines(tracker)
     label_frames = (
         LaneFrame(frame_id=frame_id, timestamp_s=timestamp, pose=traj.poses[frame_id],
                   lanes=[Lane(lane_id=i, category=c, points=p) for i, c, p
-                         in emit_frame_labels(tracker, traj.poses[frame_id], max_range=label_range)],
+                         in emit_frame_labels(tracker, traj.poses[frame_id], max_range=label_range,
+                                              polylines=polylines)],
                   camera=cam)
         for frame_id, timestamp in frame_times)
     frames.write_lane_frames(args.out, label_frames, config)
-    print(json.dumps({"tracks": len(tracker.mature_tracks()), "frames": len(frame_times),
+    print(json.dumps({"tracks": len(polylines), "frames": len(frame_times),
                       "out": args.out}, sort_keys=True))
     return 0
 

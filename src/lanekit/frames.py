@@ -2,10 +2,22 @@
 JSON trajectory / camera files.
 
 Every file starts with (or contains) a header carrying the schema
-version and the config that produced it; readers reject version
-mismatches and any header or document that is not a JSON object.
-Serialization is canonical (sorted keys, fixed separators) so equal
-inputs produce byte-identical files.
+version of its kind (`SCHEMA_VERSIONS`) and the config that produced
+it; readers reject any other version and any header or document that is
+not a JSON object.  Serialization is canonical (sorted keys, fixed
+separators) so equal inputs produce byte-identical files.
+
+Detection files (schema version 2) store each detection's pixels as one
+string: the base64 of the little-endian float64 bytes of its (k, 2)
+array of (u, v) rows.  Values round-trip bit for bit, and writing and
+reading them takes a small fraction of the time of JSON number text,
+at the price that pixel values cannot be read in a text editor; the
+header, ids, timestamps and categories stay JSON.  `write_detections`
+refuses pixels that are not a finite (k, 2) array, and the reader
+refuses a payload that is not a string, is not strict base64, is not a
+whole number of 16-byte rows or holds a non-finite value.  Version 1
+files, which held the pixels as JSON lists, are rejected like any other
+version mismatch.
 
 Lane and detection files are read one frame at a time:
 `iter_lane_frames` and `iter_detections` check the header eagerly and
@@ -25,6 +37,7 @@ output nor the temporary file.
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import itertools
 import json
@@ -37,7 +50,9 @@ import numpy as np
 from .autolabel import CameraModel, Trajectory
 from .temporal import EgoPose
 
-SCHEMA_VERSION = 1
+# schema version of each file kind, written into every header and checked by every reader;
+# detections went to 2 when their pixels became binary payloads
+SCHEMA_VERSIONS = {"lane_frames": 1, "detections_2d": 2, "trajectory": 1, "camera": 1, "report": 1}
 
 
 class SchemaError(ValueError):
@@ -103,6 +118,33 @@ def _finite_matrix(values, name: str) -> np.ndarray:
     return matrix
 
 
+def _encode_points(points, columns: int) -> str:
+    """Base64 of the little-endian float64 bytes of an (n, columns) array, row by row."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != columns:
+        raise SchemaError(f"points must be an (n, {columns}) array, got shape {points.shape}")
+    if not np.isfinite(points).all():
+        raise SchemaError("non-finite points")
+    return base64.b64encode(points.astype("<f8").tobytes()).decode("ascii")
+
+
+def _decode_points(text, columns: int) -> np.ndarray:
+    """The (n, columns) float64 array of an `_encode_points` payload, bit for bit."""
+    if not isinstance(text, str):
+        raise SchemaError(f"points must be a base64 string, got {type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or text that is not ASCII
+        raise SchemaError(f"points payload is not base64: {exc}") from exc
+    if len(raw) % (8 * columns):
+        raise SchemaError(f"points payload of {len(raw)} bytes is not a whole number of "
+                          f"{8 * columns}-byte rows")
+    points = np.frombuffer(raw, dtype="<f8").astype(float).reshape(-1, columns)
+    if not np.isfinite(points).all():
+        raise SchemaError("non-finite points")
+    return points
+
+
 def _camera_from_dict(d: dict) -> CameraModel:
     # files written before the image size was stored take the model's defaults
     size = {key: d[key] for key in ("width", "height") if key in d}
@@ -150,13 +192,8 @@ def _detection_frame_from_dict(r: dict):
     try:
         frame_id = _int(r["frame_id"], "frame_id")
         timestamp_s = _finite(r["timestamp_s"], "timestamp_s")
-        dets = [(np.array(d["points"], dtype=float), _int(d["category"], "detection category"))
+        dets = [(_decode_points(d["points"], 2), _int(d["category"], "detection category"))
                 for d in r["detections"]]
-        for points, _ in dets:
-            if points.size and (points.ndim != 2 or points.shape[1] != 2):
-                raise ValueError(f"frame {frame_id}: pixel points must be a (k, 2) array")
-            if not np.isfinite(points).all():
-                raise ValueError(f"frame {frame_id}: non-finite pixel coordinates")
         return frame_id, timestamp_s, dets
     except _MALFORMED as exc:
         raise SchemaError(f"malformed detection record: {exc}") from exc
@@ -182,24 +219,26 @@ def _write_lines(path, lines) -> None:
 
 
 def _write_jsonl(path, kind: str, config: dict, records) -> None:
-    header = {"schema_version": SCHEMA_VERSION, "kind": kind, "config": config}
+    header = {"schema_version": SCHEMA_VERSIONS[kind], "kind": kind, "config": config}
     _write_lines(path, map(_dump, itertools.chain([header], records)))
 
 
 def _check_document(path, doc, kind: str) -> None:
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected a JSON object, got {type(doc).__name__}")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise SchemaError(f"{path}: schema version {doc.get('schema_version')} != {SCHEMA_VERSION}")
     if doc.get("kind") != kind:
         raise SchemaError(f"{path}: expected kind {kind!r}, got {doc.get('kind')!r}")
+    if doc.get("schema_version") != SCHEMA_VERSIONS[kind]:
+        raise SchemaError(f"{path}: schema version {doc.get('schema_version')!r} of {kind!r} "
+                          f"!= {SCHEMA_VERSIONS[kind]}")
 
 
-def _jsonl_records(path, kind: str):
-    """Yield the checked header, then each non-blank line's decoded JSON value.
+def _jsonl_records(path, kind: str, parse):
+    """Yield the checked header, then `parse` of each non-blank line's decoded JSON value.
 
     Lines are read as bytes and decoded one at a time, so text that is
-    not UTF-8 is reported at its own line.
+    not UTF-8 is reported at its own line, and so is a record that
+    `parse` rejects.
     """
     with open(path, "rb") as fh:
         first = fh.readline()
@@ -219,13 +258,17 @@ def _jsonl_records(path, kind: str):
                 record = json.loads(line)
             except ValueError as exc:
                 raise SchemaError(f"{path}:{lineno}: malformed record: {exc}") from exc
-            yield record
+            try:
+                parsed = parse(record)
+            except SchemaError as exc:
+                raise SchemaError(f"{path}:{lineno}: {exc}") from exc
+            yield parsed
 
 
 def _iter_jsonl(path, kind: str, parse):
-    records = _jsonl_records(path, kind)
+    records = _jsonl_records(path, kind, parse)
     header = next(records)
-    return header, map(parse, records)
+    return header, records
 
 
 def write_lane_frames(path, frames, config: dict | None = None) -> None:
@@ -254,7 +297,7 @@ def write_detections(path, frames, config: dict | None = None) -> None:
                 "frame_id": frame_id,
                 "timestamp_s": timestamp_s,
                 "detections": [
-                    {"category": int(category), "points": np.asarray(px, dtype=float).tolist()}
+                    {"category": int(category), "points": _encode_points(px, 2)}
                     for px, category in detections
                 ],
             }
@@ -273,7 +316,7 @@ def read_detections(path):
 
 def write_trajectory(path, traj: Trajectory, config: dict | None = None) -> None:
     doc = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": SCHEMA_VERSIONS["trajectory"],
         "kind": "trajectory",
         "config": config or {},
         "poses": [
@@ -295,7 +338,7 @@ def read_trajectory(path) -> Trajectory:
 
 
 def write_camera(path, cam: CameraModel, config: dict | None = None) -> None:
-    doc = {"schema_version": SCHEMA_VERSION, "kind": "camera", "config": config or {}}
+    doc = {"schema_version": SCHEMA_VERSIONS["camera"], "kind": "camera", "config": config or {}}
     doc.update(_camera_to_dict(cam))
     _write_lines(path, [_dump(doc)])
 
@@ -319,4 +362,4 @@ def _read_json(path, kind: str) -> dict:
 
 
 def write_json_report(path, report: dict) -> None:
-    _write_lines(path, [_dump({"schema_version": SCHEMA_VERSION, **report})])
+    _write_lines(path, [_dump({"schema_version": SCHEMA_VERSIONS["report"], **report})])

@@ -354,6 +354,24 @@ class TestEmitLabels:
         assert shared.size >= 10
         assert np.abs(world_a[ia] - world_b[ib]).max() < 1e-9
 
+    def test_polylines_built_once_equal_the_per_call_rebuild(self):
+        world = synth.gen_scene(synth.SceneSpec(num_lanes=3, curvature=(0.0, 0.0, 5e-4), elevation=(0.0, 0.05),
+                                                frames=40, seed=5, lane_length=200.0))
+        cam = CameraModel.level_camera()
+        surf = build_surface(world.trajectory)
+        tracker = LineTracker(surf, min_hits=3, lead=130.0)
+        for f, pose in enumerate(world.trajectory.poses):
+            tracker.step(lift_detections(synth.render_2d(world, f, cam, pixel_noise_sigma=1.0), cam, pose, surf))
+        polylines = autolabel.mature_polylines(tracker)
+        assert [track_id for track_id, _, _ in polylines] == [t.track_id for t in tracker.mature_tracks()]
+        assert len(polylines) == 3
+        for pose in world.trajectory.poses:
+            want = emit_frame_labels(tracker, pose, max_range=100.0)
+            got = emit_frame_labels(tracker, pose, max_range=100.0, polylines=polylines)
+            assert [(i, c) for i, c, _ in got] == [(i, c) for i, c, _ in want] and len(want) == 3
+            assert all(p.tobytes() == q.tobytes() for (_, _, p), (_, _, q) in zip(got, want))
+        assert emit_frame_labels(tracker, world.trajectory.poses[0], polylines=[]) == []
+
 
 def hairpin_trajectory(leg=60.0, step=2.0, gap=6.0, drop=0.0):
     """Out along +y at x=0, a half-turn, back along -y at x=gap.

@@ -231,6 +231,24 @@ class TestAutolabelCommand:
         ])
         assert code == 2
 
+    def test_version_1_detections_rejected(self, tmp_path, capsys):
+        run_synth(tmp_path)
+        dets_path = tmp_path / "scene.detections.jsonl"
+        # the version-1 layout: pixels as JSON lists
+        dets_path.write_text('{"config":{},"kind":"detections_2d","schema_version":1}\n'
+                             '{"detections":[{"category":1,"points":[[480.0,700.0],[481.0,650.0]]}],'
+                             '"frame_id":0,"timestamp_s":0.0}\n')
+        code = main([
+            "autolabel",
+            "--trajectory", str(tmp_path / "scene.trajectory.json"),
+            "--camera", str(tmp_path / "scene.camera.json"),
+            "--detections", str(dets_path),
+            "--out", str(tmp_path / "labels.jsonl"),
+        ])
+        assert code == 2
+        assert "schema version 1 of 'detections_2d' != 2" in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "labels.jsonl").exists()
+
     @pytest.mark.parametrize("frame_id", [30, 99, -1])
     def test_frame_id_without_pose_rejected(self, tmp_path, capsys, frame_id):
         run_synth(tmp_path)  # 30 poses

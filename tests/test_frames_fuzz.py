@@ -3,19 +3,24 @@ commands that read them, and of every subcommand's --config document.
 
 Small valid files from `lanekit synth` are mutated line by line (drop,
 duplicate, swap, replace one JSON value) and byte by byte (flip,
-truncate).  Readers may only raise SchemaError; `eval`, `spline` and
+truncate), and one detection's base64 pixel payload is swapped for
+random text, non-ASCII text, base64 of a byte count that is not whole
+(u, v) rows, or base64 of rows that hold NaN or infinity.  Readers may
+only raise SchemaError; `eval`, `spline` and
 `autolabel` may only return 0 or 2, and a 2 leaves neither the output
 nor its temporary file behind.  Config documents draw each known key's
 value from the same replacements, sometimes with an unknown key; every
 subcommand holds to the same exit contract.
 """
 
+import base64
 import contextlib
 import io
 import json
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -128,6 +133,31 @@ def test_detection_reader_raises_only_schema_errors(scene, data):
         _assert_readers_raise_only_schema_errors(path, iter_detections, read_detections)
 
 
+def _b64(raw: bytes) -> str:
+    return base64.b64encode(raw).decode("ascii")
+
+
+# what one detection's points payload is swapped for
+PAYLOADS = st.one_of(
+    st.text(max_size=24),
+    st.text(st.characters(min_codepoint=0x80), min_size=1, max_size=8),
+    st.binary(max_size=48).filter(lambda raw: len(raw) % 16).map(_b64),
+    st.lists(st.sampled_from([float("nan"), float("inf"), -float("inf"), 480.0]), min_size=1, max_size=4)
+    .map(lambda values: _b64(np.array(values + [float("nan")]).repeat(2).tobytes())),
+)
+
+
+def swap_payload(data, text: str) -> str:
+    """`text` with the points payload of one drawn detection replaced by a drawn payload."""
+    lines = text.splitlines()
+    i = data.draw(st.sampled_from([i for i, line in enumerate(lines) if '"points"' in line]), label="record")
+    record = json.loads(lines[i])
+    detection = data.draw(st.sampled_from(record["detections"]), label="detection")
+    detection["points"] = data.draw(PAYLOADS, label="payload")
+    lines[i] = json.dumps(record)
+    return "".join(line + "\n" for line in lines)
+
+
 def _run_cli(argv, *outs) -> int:
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -165,6 +195,19 @@ def test_autolabel_exits_cleanly(scene, data):
         dets = os.path.join(work, "dets.jsonl")
         with open(dets, "wb") as fh:
             fh.write(mutate(data, _read_text(scene + ".detections.jsonl")))
+        out = os.path.join(work, "labels.jsonl")
+        _run_cli(["autolabel", "--trajectory", scene + ".trajectory.json",
+                  "--camera", scene + ".camera.json", "--detections", dets, "--out", out], out)
+
+
+@FUZZ
+@given(data=st.data())
+def test_detection_payloads_fail_cleanly(scene, data):
+    with tempfile.TemporaryDirectory() as work:
+        dets = os.path.join(work, "dets.jsonl")
+        with open(dets, "w", encoding="utf-8") as fh:
+            fh.write(swap_payload(data, _read_text(scene + ".detections.jsonl")))
+        _assert_readers_raise_only_schema_errors(dets, iter_detections, read_detections)
         out = os.path.join(work, "labels.jsonl")
         _run_cli(["autolabel", "--trajectory", scene + ".trajectory.json",
                   "--camera", scene + ".camera.json", "--detections", dets, "--out", out], out)

@@ -1,13 +1,24 @@
+import base64
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from lanekit import synth
 from lanekit.autolabel import CameraModel, Trajectory
+from lanekit.cli import main
 from lanekit.frames import (
+    SCHEMA_VERSIONS,
     Lane,
     LaneFrame,
     SchemaError,
+    _decode_points,
+    _encode_points,
     iter_detections,
     iter_lane_frames,
     read_camera,
@@ -88,6 +99,11 @@ class TestLaneFrames:
             read_lane_frames(path)
 
 
+def b64(values) -> str:
+    """A points payload written without the writer's checks."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
 def rewrite_record(path, lineno, edit):
     """Apply `edit` to the JSON object on line `lineno` (1-based) of `path`."""
     lines = path.read_text().splitlines()
@@ -110,6 +126,18 @@ class TestStreaming:
             next(frames)
         with pytest.raises(SchemaError, match="kind"):
             iter_detections(path)
+
+    def test_record_errors_name_file_and_line(self, tmp_path):
+        path = tmp_path / "dets.jsonl"
+        write_detections(path, [(0, 0.0, []), (1, 0.1, [(np.ones((2, 2)), 1)])])
+        rewrite_record(path, 3, lambda record: record["detections"][0].update(points="@@"))
+        with pytest.raises(SchemaError, match=r"dets\.jsonl:3: malformed detection record: points payload is not"):
+            read_detections(path)
+        path = tmp_path / "frames.jsonl"
+        write_lane_frames(path, sample_frames())
+        rewrite_record(path, 2, lambda record: record.update(frame_id="0"))
+        with pytest.raises(SchemaError, match=r"frames\.jsonl:2: malformed lane frame: frame_id must be an int"):
+            read_lane_frames(path)
 
     def test_failed_write_keeps_the_previous_file(self, tmp_path):
         path = tmp_path / "frames.jsonl"
@@ -180,9 +208,12 @@ class TestStrictInput:
         ("timestamp_s", None, "timestamp_s must be a finite number"),
         ("category", [1], "detection category must be an int"),
         ("category", float("inf"), "detection category must be an int"),
-        ("points", [[1.0, 2.0, 3.0]], r"must be a \(k, 2\) array"),
-        ("points", [1.0, 2.0], r"must be a \(k, 2\) array"),
-        ("points", [[10**400, 2.0]], "too large"),
+        pytest.param("points", [[480.0, 600.0], [481.0, 550.0]], "points must be a base64 string, got list",
+                     id="points-json-list"),
+        pytest.param("points", "480.0,600.0", "points payload is not base64", id="points-not-base64"),
+        pytest.param("points", b64(np.ones(3)), "24 bytes is not a whole number of 16-byte rows",
+                     id="points-24-bytes"),
+        pytest.param("points", b64([[480.0, 600.0], [np.inf, 550.0]]), "non-finite points", id="points-inf"),
     ])
     def test_detection_field_types_rejected(self, tmp_path, field, value, message):
         path = tmp_path / "dets.jsonl"
@@ -218,9 +249,95 @@ class TestDetections:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_pixels_rejected(self, tmp_path, bad):
         path = tmp_path / "dets.jsonl"
-        write_detections(path, [(0, 0.0, [(np.array([[480.0, 600.0], [481.0, bad]]), 2)])])
+        write_detections(path, [(0, 0.0, [(np.array([[480.0, 600.0], [481.0, 550.0]]), 2)])])
+        rewrite_record(path, 2, lambda record: record["detections"][0].update(
+            points=b64([[480.0, 600.0], [481.0, bad]])))
         with pytest.raises(SchemaError, match="non-finite"):
             read_detections(path)
+
+    @pytest.mark.parametrize("pixels, message", [
+        (np.ones((2, 3)), r"must be an \(n, 2\) array, got shape \(2, 3\)"),
+        (np.ones(4), r"must be an \(n, 2\) array, got shape \(4,\)"),
+        (np.zeros(0), r"must be an \(n, 2\) array, got shape \(0,\)"),
+        (np.array([[480.0, np.nan]]), "non-finite points"),
+        (np.array([[-np.inf, 600.0]]), "non-finite points"),
+    ])
+    def test_writer_rejects_bad_pixels_and_leaves_no_file(self, tmp_path, pixels, message):
+        good = (np.array([[480.0, 600.0], [481.0, 550.0]]), 2)
+        with pytest.raises(SchemaError, match=message):
+            write_detections(tmp_path / "dets.jsonl", [(0, 0.0, [good]), (1, 0.1, [good, (pixels, 1)])])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_header_carries_each_kinds_version(self, tmp_path):
+        write_detections(tmp_path / "dets.jsonl", [])
+        write_lane_frames(tmp_path / "frames.jsonl", [])
+        for name, kind in [("dets.jsonl", "detections_2d"), ("frames.jsonl", "lane_frames")]:
+            header = json.loads((tmp_path / name).read_text().splitlines()[0])
+            assert (header["kind"], header["schema_version"]) == (kind, SCHEMA_VERSIONS[kind])
+        assert SCHEMA_VERSIONS["detections_2d"] == 2 and SCHEMA_VERSIONS["lane_frames"] == 1
+
+
+# every float64 bit pattern but the non-finite ones, with the edge values drawn often
+EXACT_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7e308, -1.7e308,
+     np.finfo(float).max, -np.finfo(float).max])
+POINT_ARRAYS = hnp.arrays(float, st.tuples(st.integers(0, 6), st.just(2)), elements=EXACT_FLOATS)
+
+
+class TestPointPayload:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(points=POINT_ARRAYS)
+    def test_round_trip_keeps_every_bit(self, points):
+        decoded = _decode_points(_encode_points(points, 2), 2)
+        assert decoded.shape == points.shape and decoded.dtype == np.float64
+        assert decoded.tobytes() == points.tobytes()
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(frames=st.lists(st.lists(st.tuples(POINT_ARRAYS, st.integers(0, 3)), max_size=3), max_size=3))
+    def test_file_round_trip_keeps_every_bit(self, tmp_path_factory, frames):
+        path = tmp_path_factory.mktemp("payload") / "dets.jsonl"
+        records = [(i, 0.1 * i, dets) for i, dets in enumerate(frames)]
+        write_detections(path, records)
+        loaded, _ = read_detections(path)
+        assert [(f, t, [c for _, c in d]) for f, t, d in loaded] \
+            == [(f, t, [c for _, c in d]) for f, t, d in records]
+        for (_, _, got), (_, _, want) in zip(loaded, records):
+            for (p, _), (q, _) in zip(got, want):
+                assert p.shape == q.shape and p.tobytes() == q.tobytes()
+
+    def test_edge_values_round_trip(self):
+        points = np.array([[-0.0, 5e-324], [1.7e308, -1.7e308], [np.nextafter(0.0, 1.0), -2.5e-310]])
+        assert _decode_points(_encode_points(points, 2), 2).tobytes() == points.tobytes()
+        assert _decode_points(_encode_points(np.zeros((0, 2)), 2), 2).shape == (0, 2)
+        assert _encode_points(np.zeros((0, 2)), 2) == ""
+
+    def test_payload_is_little_endian_float64_rows(self):
+        points = np.array([[1.0, 2.0], [3.0, 4.0]])
+        raw = base64.b64decode(_encode_points(points, 2))
+        assert raw == np.array([1.0, 2.0, 3.0, 4.0], dtype="<f8").tobytes()
+        assert _encode_points(points.astype(">f8"), 2) == _encode_points(points, 2)
+
+
+class TestSynthDetections:
+    def test_decoded_detections_equal_render_2d(self, tmp_path):
+        argv = ["synth", str(tmp_path / "scene"), "--frames", "6", "--num-lanes", "3", "--seed", "11",
+                "--lane-length", "150", "--pixel-noise", "1.0"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        loaded, header = read_detections(tmp_path / "scene.detections.jsonl")
+        config = header["config"]
+        world = synth.gen_scene(synth.SceneSpec(
+            num_lanes=config["num-lanes"], lane_spacing=config["lane-spacing"], curvature=config["curvature"],
+            elevation=(0.0, config["grade"]), frames=config["frames"], speed=config["speed"],
+            frame_interval=config["frame-interval"], seed=config["seed"], lane_length=config["lane-length"]))
+        cam = CameraModel.level_camera()
+        assert [frame_id for frame_id, _, _ in loaded] == list(range(6))
+        for frame_id, _, detections in loaded:
+            want = synth.render_2d(world, frame_id, cam, pixel_noise_sigma=config["pixel-noise"])
+            assert len(detections) == len(want) > 0
+            for (got, category), (pixels, want_category) in zip(detections, want):
+                assert category == want_category
+                assert got.shape == pixels.shape and got.tobytes() == pixels.tobytes()
 
 
 class TestTrajectoryCamera:
