@@ -104,18 +104,21 @@ def _int(value, name: str) -> int:
     return value
 
 
+def _is_finite(value) -> bool:
+    return type(value) is int or (isinstance(value, float) and math.isfinite(value))  # not bool
+
+
 def _finite(value, name: str):
-    finite = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
-    if isinstance(value, bool) or not finite:
+    if not _is_finite(value):
         raise SchemaError(f"{name} must be a finite number, got {value!r}")
     return value
 
 
 def _finite_matrix(values, name: str) -> np.ndarray:
-    matrix = np.array(values, dtype=float).reshape(4, 4)
-    if not np.isfinite(matrix).all():
-        raise SchemaError(f"{name} has non-finite entries")
-    return matrix
+    """A 4x4 matrix from a list of 16 row-major finite numbers."""
+    if not all(map(_is_finite, values)):
+        raise SchemaError(f"{name} has non-finite entries; expected 16 finite numbers")
+    return np.array(values, dtype=float).reshape(4, 4)
 
 
 def _encode_points(points, columns: int) -> str:
@@ -228,8 +231,9 @@ def _check_document(path, doc, kind: str) -> None:
         raise SchemaError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     if doc.get("kind") != kind:
         raise SchemaError(f"{path}: expected kind {kind!r}, got {doc.get('kind')!r}")
-    if doc.get("schema_version") != SCHEMA_VERSIONS[kind]:
-        raise SchemaError(f"{path}: schema version {doc.get('schema_version')!r} of {kind!r} "
+    version = doc.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSIONS[kind]:  # 1.0 and true are not 1
+        raise SchemaError(f"{path}: schema version {version!r} of {kind!r} "
                           f"!= {SCHEMA_VERSIONS[kind]}")
 
 
@@ -330,8 +334,8 @@ def write_trajectory(path, traj: Trajectory, config: dict | None = None) -> None
 def read_trajectory(path) -> Trajectory:
     doc = _read_json(path, "trajectory")
     try:
-        stamps = [p["timestamp_s"] for p in doc["poses"]]
-        poses = [EgoPose(np.array(p["pose"], dtype=float).reshape(4, 4)) for p in doc["poses"]]
+        stamps = [_finite(p["timestamp_s"], "timestamp_s") for p in doc["poses"]]
+        poses = [EgoPose(_finite_matrix(p["pose"], "pose")) for p in doc["poses"]]
     except _MALFORMED as exc:
         raise SchemaError(f"malformed trajectory: {exc}") from exc
     return Trajectory(np.array(stamps, dtype=float), poses)

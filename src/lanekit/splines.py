@@ -10,8 +10,7 @@ between a precomputed basis matrix and the control-point matrix.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,15 +111,6 @@ def _segment_weights(local: np.ndarray, order: int, m: int) -> np.ndarray:
     return (arg @ SEGMENT_COEFFS) * scale
 
 
-# Least-recently-used cache of built matrices.  Repeated grids (the dense
-# sampling grid, a fixed moving-average grid) hit; one-off sample sets, such
-# as the y positions of each fitted polyline, pass through without growing
-# the cache past this many entries.
-_BASIS_CACHE_SIZE = 128
-_BASIS_CACHE: OrderedDict[tuple, BasisMatrix] = OrderedDict()
-_BASIS_LOCK = threading.Lock()
-
-
 def basis_matrix(m: int, sample_args, order: int = 0) -> BasisMatrix:
     """Basis matrix mapping m control values to samples at the given arguments.
 
@@ -131,48 +121,35 @@ def basis_matrix(m: int, sample_args, order: int = 0) -> BasisMatrix:
     """
     if m < 4:
         raise ValueError(f"need at least 4 control points, got {m}")
-    s = np.ascontiguousarray(np.asarray(sample_args, dtype=float).ravel())
+    s = np.asarray(sample_args, dtype=float).ravel()
     if s.size and (s.min() < 0.0 or s.max() > 1.0):
         raise ValueError("sample arguments must lie in [0, 1]")
+    return _basis(m, order, s.tobytes())
 
-    key = (m, order, s.tobytes())
-    with _BASIS_LOCK:
-        cached = _BASIS_CACHE.get(key)
-        if cached is not None:
-            _BASIS_CACHE.move_to_end(key)
-    if cached is not None:
-        return cached
 
+# Repeated grids (the dense sampling grid, a fixed moving-average grid) hit;
+# one-off sample sets, such as the y positions of each fitted polyline, pass
+# through without growing the cache past maxsize entries.
+@functools.lru_cache(maxsize=128)
+def _basis(m: int, order: int, args: bytes) -> BasisMatrix:
+    s = np.frombuffer(args)
     t = s * (m - 1)
     near = np.abs(t - np.round(t)) <= _KNOT_SNAP * (m - 1)
     t[near] = np.round(t[near])
     seg = np.minimum(t.astype(int), m - 2)
-    local = t - seg
+    w = _segment_weights(t - seg, order, m)
 
-    w = _segment_weights(local, order, m)
-    rows = np.zeros((s.size, m))
-    idx = np.arange(s.size)
-    for j, offset in enumerate(range(-1, 3)):
-        col = seg + offset
-        wj = w[:, j]
-        inside = (col >= 0) & (col < m)
-        np.add.at(rows, (idx[inside], col[inside]), wj[inside])
-        left = col == -1
-        np.add.at(rows, (idx[left], 0), 2.0 * wj[left])
-        np.add.at(rows, (idx[left], 1), -wj[left])
-        right = col == m
-        np.add.at(rows, (idx[right], m - 1), 2.0 * wj[right])
-        np.add.at(rows, (idx[right], m - 2), -wj[right])
-
+    # Columns 0 and m + 1 hold the reflected support points p[-1] and p[m];
+    # a row's four support columns seg .. seg + 3 are distinct.
+    padded = np.zeros((s.size, m + 2))
+    np.put_along_axis(padded, seg[:, None] + np.arange(4), w, axis=1)
+    padded[:, 1] += 2.0 * padded[:, 0]
+    padded[:, 2] -= padded[:, 0]
+    padded[:, m] += 2.0 * padded[:, m + 1]
+    padded[:, m - 1] -= padded[:, m + 1]
+    rows = np.ascontiguousarray(padded[:, 1:m + 1])
     rows.flags.writeable = False
-    s.flags.writeable = False
-    basis = BasisMatrix(matrix=rows, order=order, sample_args=s)
-    with _BASIS_LOCK:
-        basis = _BASIS_CACHE.setdefault(key, basis)  # a concurrent build may have won
-        _BASIS_CACHE.move_to_end(key)
-        while len(_BASIS_CACHE) > _BASIS_CACHE_SIZE:
-            _BASIS_CACHE.popitem(last=False)
-    return basis
+    return BasisMatrix(matrix=rows, order=order, sample_args=s)
 
 
 def build_basis(cfg: CurveConfig, sample_args=None, order: int = 0) -> BasisMatrix:

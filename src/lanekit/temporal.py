@@ -113,8 +113,6 @@ class MemoryView:
 
     points: np.ndarray       # (entries, 4), geometry in the target frame
     embeddings: np.ndarray   # (entries, channels)
-    frame_indices: np.ndarray
-    lane_ids: np.ndarray
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -175,23 +173,10 @@ class MemoryQueue:
     def view(self, current_pose: EgoPose) -> MemoryView:
         """All stored entries with geometry propagated into the current frame."""
         if not self._blocks:
-            return MemoryView(
-                points=np.zeros((0, 4)),
-                embeddings=np.zeros((0, 0)),
-                frame_indices=np.zeros(0, dtype=int),
-                lane_ids=np.zeros(0, dtype=int),
-            )
-        pts, embs, frames, ids = [], [], [], []
+            return MemoryView(points=np.zeros((0, 4)), embeddings=np.zeros((0, 0)))
+        pts, embs = [], []
         for block in self._blocks:
             flat = block.points.reshape(-1, block.points.shape[-1])
             pts.append(propagate_points(flat, block.pose, current_pose))
             embs.append(block.embeddings.reshape(-1, block.embeddings.shape[-1]))
-            count = flat.shape[0]
-            frames.append(np.full(count, block.frame_index, dtype=int))
-            ids.append(np.repeat(block.lane_ids, block.points.shape[1]))
-        return MemoryView(
-            points=np.concatenate(pts, axis=0),
-            embeddings=np.concatenate(embs, axis=0),
-            frame_indices=np.concatenate(frames),
-            lane_ids=np.concatenate(ids),
-        )
+        return MemoryView(points=np.concatenate(pts, axis=0), embeddings=np.concatenate(embs, axis=0))

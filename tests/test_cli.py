@@ -231,6 +231,28 @@ class TestAutolabelCommand:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("field, edit", [("timestamp_s", lambda t: float("nan")), ("timestamp_s", str),
+                                             ("pose", lambda p: list(map(str, p))),
+                                             ("schema_version", lambda v: True)],
+                             ids=["timestamp-nan", "timestamp-str", "pose-str", "version-bool"])
+    def test_trajectory_that_is_not_finite_numbers_rejected(self, tmp_path, capsys, field, edit):
+        run_synth(tmp_path)
+        bad = tmp_path / "scene.trajectory.json"
+        doc = json.loads(bad.read_text())
+        target = doc if field == "schema_version" else doc["poses"][5]
+        target[field] = edit(target[field])
+        bad.write_text(json.dumps(doc))
+        code = main([
+            "autolabel",
+            "--trajectory", str(bad),
+            "--camera", str(tmp_path / "scene.camera.json"),
+            "--detections", str(tmp_path / "scene.detections.jsonl"),
+            "--out", str(tmp_path / "labels.jsonl"),
+        ])
+        assert code == 2
+        assert "trajectory" in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "labels.jsonl").exists()
+
     def test_version_1_detections_rejected(self, tmp_path, capsys):
         run_synth(tmp_path)
         dets_path = tmp_path / "scene.detections.jsonl"

@@ -65,13 +65,20 @@ class TestLaneFrames:
 
     def test_schema_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "frames.jsonl"
-        write_lane_frames(path, sample_frames())
-        lines = path.read_text().splitlines()
-        header = json.loads(lines[0])
-        header["schema_version"] = 99
-        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
-        with pytest.raises(SchemaError, match="schema version"):
-            read_lane_frames(path)
+        # a version is an int: true, 1.0 and "1" are not version 1, nor 2.0 version 2
+        for write, read, version in [(write_lane_frames, read_lane_frames, 99),
+                                     (write_lane_frames, read_lane_frames, True),
+                                     (write_lane_frames, read_lane_frames, 1.0),
+                                     (write_lane_frames, read_lane_frames, "1"),
+                                     (write_detections, read_detections, 2.0),
+                                     (write_detections, read_detections, True)]:
+            write(path, sample_frames() if write is write_lane_frames else [(0, 0.0, [])])
+            lines = path.read_text().splitlines()
+            header = json.loads(lines[0])
+            header["schema_version"] = version
+            path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+            with pytest.raises(SchemaError, match=f"schema version {version!r} of"):
+                read(path)
 
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "frames.jsonl"
@@ -186,6 +193,10 @@ class TestStrictInput:
         ("camera fx", float("nan"), "camera fx must be a finite number"),
         ("camera extrinsic", [float("inf")] * 16, "camera extrinsic has non-finite entries"),
         ("lane points", [[10**400, 5.0, 0.0, 1.0], [0.0, 6.0, 0.0, 1.0]], "too large"),
+        ("ego_pose", ["1"] * 16, "ego_pose has non-finite entries"),
+        ("ego_pose", [True] * 16, "ego_pose has non-finite entries"),
+        ("camera extrinsic", ["1"] * 16, "camera extrinsic has non-finite entries"),
+        ("camera extrinsic", [True] * 16, "camera extrinsic has non-finite entries"),
     ])
     def test_lane_frame_field_types_rejected(self, tmp_path, field, value, message):
         path = tmp_path / "frames.jsonl"
@@ -349,6 +360,30 @@ class TestTrajectoryCamera:
         loaded = read_trajectory(path)
         assert len(loaded) == 2
         np.testing.assert_allclose(loaded.poses[1].position, [0.0, 1.0, 0.0])
+
+    # each edit maps the value that was written to one numpy would still read as it
+    @pytest.mark.parametrize("field, edit, message", [
+        ("timestamp_s", lambda t: float("nan"), "malformed trajectory: timestamp_s must be a finite number"),
+        ("timestamp_s", str, "malformed trajectory: timestamp_s must be a finite number"),
+        ("timestamp_s", lambda t: True, "malformed trajectory: timestamp_s must be a finite number"),
+        ("pose", lambda p: [float("nan")] * 16, "malformed trajectory: pose has non-finite entries"),
+        ("pose", lambda p: list(map(str, p)), "malformed trajectory: pose has non-finite entries"),
+        ("pose", lambda p: list(map(bool, p)), "malformed trajectory: pose has non-finite entries"),
+        ("schema_version", lambda v: True, "schema version True"),
+        ("schema_version", float, "schema version 1.0"),
+    ], ids=["timestamp-nan", "timestamp-str", "timestamp-bool", "pose-nan", "pose-str", "pose-bool",
+            "version-bool", "version-float"])
+    def test_trajectory_field_types_rejected(self, tmp_path, field, edit, message):
+        path = tmp_path / "traj.json"
+        traj = Trajectory(np.array([0.0, 1.0]),
+                          [EgoPose.identity(), EgoPose.from_parts(np.eye(3), [0, 1, 0])])
+        write_trajectory(path, traj)
+        doc = json.loads(path.read_text())
+        target = doc if field == "schema_version" else doc["poses"][1]
+        target[field] = edit(target[field])
+        path.write_text(json.dumps(doc))  # json writes a float NaN as NaN, which json reads
+        with pytest.raises(SchemaError, match=message):
+            read_trajectory(path)
 
     def test_camera_round_trip(self, tmp_path):
         path = tmp_path / "cam.json"

@@ -11,6 +11,7 @@ from lanekit.splines import (
     evaluate_segment,
     fit_control_points,
 )
+from lanekit.splines import _KNOT_SNAP, _segment_weights
 
 
 def random_control_points(cfg, rng):
@@ -34,6 +35,31 @@ def eval_curve_reference(control, s):
         local = t - k
         out[col] = evaluate_segment(local, padded[k:k + 4])
     return out
+
+
+def scatter_fold_basis(m, s, order):
+    """Reference build: scatter each of the four support weights with
+    np.add.at and fold the reflected end points in entry by entry."""
+    s = np.asarray(s, dtype=float)
+    t = s * (m - 1)
+    near = np.abs(t - np.round(t)) <= _KNOT_SNAP * (m - 1)
+    t[near] = np.round(t[near])
+    seg = np.minimum(t.astype(int), m - 2)
+    w = _segment_weights(t - seg, order, m)
+    rows = np.zeros((s.size, m))
+    idx = np.arange(s.size)
+    for j, offset in enumerate(range(-1, 3)):
+        col = seg + offset
+        wj = w[:, j]
+        inside = (col >= 0) & (col < m)
+        np.add.at(rows, (idx[inside], col[inside]), wj[inside])
+        left = col == -1
+        np.add.at(rows, (idx[left], 0), 2.0 * wj[left])
+        np.add.at(rows, (idx[left], 1), -wj[left])
+        right = col == m
+        np.add.at(rows, (idx[right], m - 1), 2.0 * wj[right])
+        np.add.at(rows, (idx[right], m - 2), -wj[right])
+    return rows
 
 
 class TestSegment:
@@ -85,9 +111,9 @@ class TestBasis:
         assert basis_matrix(7, args) is basis_matrix(7, args)
 
     def test_cache_stays_bounded_and_keeps_recent_entries(self):
-        import lanekit.splines as splines
+        from lanekit.splines import _basis
 
-        size = splines._BASIS_CACHE_SIZE
+        size = _basis.cache_info().maxsize
         kept = np.linspace(0.0, 1.0, 17)
         first = basis_matrix(6, kept)
         expected = basis_matrix(6, [0.0]).matrix.copy()
@@ -95,8 +121,26 @@ class TestBasis:
             basis_matrix(6, [i / (3 * size)])
             if i % (size // 2) == 0:
                 assert basis_matrix(6, kept) is first  # in use, so never evicted
-            assert len(splines._BASIS_CACHE) <= size
-        assert np.array_equal(basis_matrix(6, [0.0]).matrix, expected)  # rebuilt after eviction
+            assert _basis.cache_info().currsize <= size
+        misses = _basis.cache_info().misses
+        assert np.array_equal(basis_matrix(6, [0.0]).matrix, expected)
+        assert _basis.cache_info().misses == misses + 1  # rebuilt after eviction
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_scatter_fold_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            m, order = int(rng.integers(4, 34)), int(rng.integers(0, 3))
+            s = rng.uniform(0.0, 1.0, int(rng.integers(0, 301)))
+            snapped = rng.random(s.size) < 0.3  # on a knot, or off it by round-off
+            s[snapped] = np.clip(rng.integers(0, m, snapped.sum()) / (m - 1)
+                                 + rng.choice([0.0, 1e-14, -1e-14], snapped.sum()), 0.0, 1.0)
+            ends = rng.random(s.size) < 0.1
+            s[ends] = rng.choice([0.0, -0.0, 1.0], ends.sum())
+            for args in (s, s[:0]):
+                got = basis_matrix(m, args, order=order).matrix
+                want = scatter_fold_basis(m, args, order)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (m, order, args.size)
 
     def _fd_samples(self, m, h, rng, count=200):
         # central differences straddling a knot see the C1 seam, so keep
