@@ -63,6 +63,8 @@ from .temporal import EgoPose, apply_transform
 _PARALLEL_EPS = 1e-12
 _WINDOW_SLACK = 1e-6  # m; widens segment windows past floating-point rounding
 _DOT_SLACK = 1e-14  # bounds the rounding gap between two evaluations of a unit-vector dot product
+_MIN_DEPTH = 0.1  # m; camera-frame depth a point needs to project
+_LABEL_STEP = 2.0  # m between label points along local y
 
 
 @dataclass(frozen=True)
@@ -115,15 +117,15 @@ class CameraModel:
         dirs = dirs_cam @ self.extrinsic[:3, :3].T
         return self.extrinsic[:3, 3], dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
-    def project_vehicle_points(self, points_vehicle: np.ndarray, min_depth: float = 0.1):
-        """Project vehicle-frame points to pixels; returns (pixels, in_front mask)."""
+    def project_vehicle_points(self, points_vehicle: np.ndarray):
+        """Project vehicle-frame points to pixels; returns (pixels, mask of camera depth > 0.1 m)."""
         pts = np.asarray(points_vehicle, dtype=float)
         inv = np.eye(4)
         rt = self.extrinsic[:3, :3].T
         inv[:3, :3] = rt
         inv[:3, 3] = -rt @ self.extrinsic[:3, 3]
         cam = apply_transform(inv, pts)
-        in_front = cam[:, 2] > min_depth
+        in_front = cam[:, 2] > _MIN_DEPTH
         depth = np.where(in_front, cam[:, 2], 1.0)
         u = self.cx + self.fx * cam[:, 0] / depth
         v = self.cy + self.fy * cam[:, 1] / depth
@@ -502,32 +504,33 @@ def mature_polylines(tracker: LineTracker) -> list[tuple[int, int, np.ndarray]]:
 
 
 def emit_frame_labels(tracker: LineTracker, pose: EgoPose, max_range: float = 250.0,
-                      step: float = 2.0, min_points: int = 2, polylines=None):
+                      polylines=None):
     """Per-frame local labels: mature track polylines in the frame's ego coordinates.
 
     Polylines are clipped to [0, max_range] ahead of the ego and
-    resampled at uniform local y.  Returns (lane_id, category,
-    points (k, 4)) tuples with full visibility.  `polylines` is
-    `mature_polylines(tracker)`, built once when many frames are
-    emitted from one finished tracker; by default it is built per call.
+    resampled every 2 m of local y; a lane needs two points to be
+    emitted.  Returns (lane_id, category, points (k, 4)) tuples with
+    full visibility.  `polylines` is `mature_polylines(tracker)`, built
+    once when many frames are emitted from one finished tracker; by
+    default it is built per call.
     """
     if polylines is None:
         polylines = mature_polylines(tracker)
     inv = pose.inverse_matrix()
     lanes = []
     for track_id, category, world in polylines:
-        if world.shape[0] < min_points:
+        if world.shape[0] < 2:
             continue
         local = apply_transform(inv, world)
         inside = (local[:, 1] >= 0.0) & (local[:, 1] <= max_range)
         local = local[inside]
-        if local.shape[0] < min_points:
+        if local.shape[0] < 2:
             continue
         order = np.argsort(local[:, 1], kind="stable")
         local = local[order]
         y_lo, y_hi = local[0, 1], local[-1, 1]
-        grid = np.arange(np.ceil(y_lo / step) * step, y_hi + 1e-9, step)
-        if grid.size < min_points:
+        grid = np.arange(np.ceil(y_lo / _LABEL_STEP) * _LABEL_STEP, y_hi + 1e-9, _LABEL_STEP)
+        if grid.size < 2:
             continue
         x = np.interp(grid, local[:, 1], local[:, 0])
         z = np.interp(grid, local[:, 1], local[:, 2])

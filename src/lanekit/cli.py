@@ -260,26 +260,19 @@ class _Unordered(Exception):
 
 
 def _ascending(lane_frames):
-    """Pass frames on while their ids strictly increase, reading one frame ahead.
-
-    A frame is yielded only after its successor has been read, so a
-    duplicate id raises _Unordered before its first frame is used.
-    """
-    previous = None
+    """Pass frames on, raising _Unordered at the first whose id does not exceed the last one's."""
+    last = None
     for frame in lane_frames:
-        if previous is not None:
-            if frame.frame_id <= previous.frame_id:
-                raise _Unordered
-            yield previous
-        previous = frame
-    if previous is not None:
-        yield previous
+        if last is not None and frame.frame_id <= last:
+            raise _Unordered
+        last = frame.frame_id
+        yield frame
 
 
 def _pairs_in_order(pred_path, gt_path):
     """The pairs of `_pairs_by_id`, found by walking both files together.
 
-    Holds two frames of each file at a time.  Raises _Unordered,
+    Holds one frame of each file at a time.  Raises _Unordered,
     possibly after yielding pairs, when either file's ids do not
     strictly increase; every frame of both files is read and checked.
     """
@@ -327,7 +320,8 @@ def cmd_eval(args, config: dict) -> int:
     try:
         acc = _accumulate(cfg, _pairs_in_order(args.pred, args.gt))
     except _Unordered:
-        # Same pairs, added in the same order, so the same report bytes.
+        # Start over, dropping the pairs added so far.  Same pairs, added in
+        # the same order, so the same report bytes.
         acc = _accumulate(cfg, _pairs_by_id(args.pred, args.gt))
     report = acc.report()
     report["config"] = config

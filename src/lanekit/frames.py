@@ -336,9 +336,9 @@ def read_trajectory(path) -> Trajectory:
     try:
         stamps = [_finite(p["timestamp_s"], "timestamp_s") for p in doc["poses"]]
         poses = [EgoPose(_finite_matrix(p["pose"], "pose")) for p in doc["poses"]]
+        return Trajectory(np.array(stamps, dtype=float), poses)
     except _MALFORMED as exc:
-        raise SchemaError(f"malformed trajectory: {exc}") from exc
-    return Trajectory(np.array(stamps, dtype=float), poses)
+        raise SchemaError(f"{path}: malformed trajectory: {exc}") from exc
 
 
 def write_camera(path, cam: CameraModel, config: dict | None = None) -> None:
@@ -352,7 +352,7 @@ def read_camera(path) -> CameraModel:
     try:
         return _camera_from_dict(doc)
     except _MALFORMED as exc:
-        raise SchemaError(f"malformed camera file: {exc}") from exc
+        raise SchemaError(f"{path}: malformed camera file: {exc}") from exc
 
 
 def _read_json(path, kind: str) -> dict:

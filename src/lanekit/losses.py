@@ -138,7 +138,7 @@ def regression_loss_grad(pred_points, gts, matching, cfg: CurveConfig) -> np.nda
     return grad / n
 
 
-def visibility_loss(pred_points, gts, matching, cfg: CurveConfig, eps: float = PROB_EPS) -> float:
+def visibility_loss(pred_points, gts, matching, cfg: CurveConfig) -> float:
     """Binary cross-entropy between predicted and target visibility, averaged over matched lanes."""
     pred_points = np.asarray(pred_points, dtype=float)
     if not matching:
@@ -146,14 +146,13 @@ def visibility_loss(pred_points, gts, matching, cfg: CurveConfig, eps: float = P
     total = 0.0
     for g, p in matching:
         gt = gts[g]
-        pred_v = np.clip((_basis_at_y(gt.points[:, 1], cfg) @ pred_points[p])[:, 3], eps, 1.0 - eps)
+        pred_v = np.clip((_basis_at_y(gt.points[:, 1], cfg) @ pred_points[p])[:, 3], PROB_EPS, 1.0 - PROB_EPS)
         v_hat = gt.points[:, 3]
         total += float(-(v_hat * np.log(pred_v) + (1.0 - v_hat) * np.log(1.0 - pred_v)).sum())
     return total / len(matching)
 
 
-def focal_classification_loss(class_probs, targets, gamma: float = 2.0,
-                              eps: float = PROB_EPS) -> float:
+def focal_classification_loss(class_probs, targets, gamma: float = 2.0) -> float:
     """Focal loss -(1/n) sum_i (1 - p_target)^gamma log(p_target); gamma=0 is cross-entropy."""
     if gamma < 0:
         raise ValueError("focusing parameter must be >= 0")
@@ -162,7 +161,7 @@ def focal_classification_loss(class_probs, targets, gamma: float = 2.0,
     n = probs.shape[0]
     if targets.shape[0] != n:
         raise ValueError("one target per proposal required")
-    p = np.clip(probs[np.arange(n), targets], eps, 1.0)
+    p = np.clip(probs[np.arange(n), targets], PROB_EPS, 1.0)
     return float(-np.mean((1.0 - p) ** gamma * np.log(p)))
 
 
@@ -264,22 +263,16 @@ class LossBreakdown:
 
     @property
     def total(self) -> float:
-        w = self.weights
-        return (
-            w.regression * self.regression
-            + w.visibility * self.visibility
-            + w.classification * self.classification
-            + w.spatial_parallel * self.spatial_parallel
-            + w.spatial_smooth * self.spatial_smooth
-            + w.spatial_curvature * self.spatial_curvature
-            + w.temporal * self.temporal
-        )
+        # terms added left to right in field order; -0.0 + x is x, also for x = -0.0
+        total = -0.0
+        for f in fields(LossWeights):
+            total += getattr(self.weights, f.name) * getattr(self, f.name)
+        return total
 
 
 def combined_loss(pred_points, class_probs, gts, cfg: CurveConfig,
                   weights: LossWeights | None = None, ema_state=None,
-                  gamma: float = 2.0, class_weight: float = 1.0,
-                  n_classes: int | None = None) -> LossBreakdown:
+                  gamma: float = 2.0, class_weight: float = 1.0) -> LossBreakdown:
     """Assign proposals to targets and evaluate every loss term in one pass.
 
     The temporal term is evaluated against `ema_state` when given and it
@@ -295,10 +288,8 @@ def combined_loss(pred_points, class_probs, gts, cfg: CurveConfig,
     pred_points = np.asarray(pred_points, dtype=float)
     class_probs = np.asarray(class_probs, dtype=float)
     weights = weights or LossWeights()
-    if n_classes is None:
-        n_classes = class_probs.shape[1] - 1
     matching = assign_proposals(pred_points, class_probs, gts, cfg, class_weight=class_weight)
-    targets = classification_targets(matching, gts, pred_points.shape[0], n_classes)
+    targets = classification_targets(matching, gts, pred_points.shape[0], class_probs.shape[1] - 1)
     parallel, smooth, curvature = spatial_regularization(pred_points, cfg)
     temporal = 0.0
     if ema_state is not None and ema_state.lane_count == pred_points.shape[0]:

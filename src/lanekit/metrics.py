@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,8 +47,8 @@ class MatchConfig:
     y_min: float = 0.0
     y_max: float = 100.0
     y_step: float = 2.0
-    bins: tuple[tuple[float, float], ...] = ((0.0, 40.0), (40.0, 100.0), (100.0, 150.0), (150.0, 200.0))
     chamfer_threshold: float = 0.3
+    bins: ClassVar[tuple[tuple[float, float], ...]] = ((0.0, 40.0), (40.0, 100.0), (100.0, 150.0), (150.0, 200.0))
 
     def __post_init__(self):
         for name in ("point_threshold", "chamfer_threshold", "y_step"):
@@ -92,7 +93,7 @@ class MatchedPair:
     abs_dx: np.ndarray       # per co-visible grid point
     abs_dz: np.ndarray
     grid_y: np.ndarray       # y of the co-visible grid points
-    iou: float | None
+    iou: float               # kept lanes have two visible grid points, so the union is never empty
 
 
 @dataclass
@@ -164,8 +165,8 @@ def f1_score(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
 
 
 def vis_iou(match: FrameMatch) -> float | None:
-    """Mean visibility IoU over matched pairs; pairs with empty unions are skipped."""
-    ious = [p.iou for p in match.pairs if p.iou is not None]
+    """Mean visibility IoU over matched pairs; None when there are none."""
+    ious = [p.iou for p in match.pairs]
     return float(np.mean(ious)) if ious else None
 
 
@@ -241,9 +242,8 @@ class EvalAccumulator:
                 dx_sum, dz_sum, n = self.bin_sums.get(key, (0.0, 0.0, 0))
                 self.bin_sums[key] = (dx_sum + float(pair.abs_dx[inside].sum()),
                                       dz_sum + float(pair.abs_dz[inside].sum()), n + int(inside.sum()))
-        valid = [p for p in match.pairs if p.iou is not None]
-        self.iou_sum += sum(p.iou for p in valid)
-        self.iou_count += len(valid)
+        self.iou_sum += sum(p.iou for p in match.pairs)
+        self.iou_count += len(match.pairs)
         distances = _chamfer_matches(pred_lanes, gt_lanes, self.cfg.chamfer_threshold)
         self.chamfer_tp += len(distances)
         self.chamfer_pred += len(pred_lanes)

@@ -37,23 +37,19 @@ class CurveConfig:
     """Curve parameterization shared by all lanes of a model.
 
     m control points, dense sampling with `samples` arguments, and the
-    value ranges used for fixing the y column and scaling predictions.
+    longitudinal range [y_start, y_end] that fixes the y column.
     """
 
     m: int = 20
     y_start: float = 3.0
     y_end: float = 103.0
-    x_start: float = -20.0
-    x_end: float = 20.0
-    z_start: float = -5.0
-    z_end: float = 5.0
     samples: int = 100
 
     def __post_init__(self):
         if self.m < 4:
             raise ValueError(f"need at least 4 control points, got {self.m}")
-        if not (self.y_end > self.y_start and self.x_end > self.x_start and self.z_end > self.z_start):
-            raise ValueError("value ranges must have positive extent")
+        if not self.y_end > self.y_start:
+            raise ValueError("y range must have positive extent")
         if self.samples < self.m:
             raise ValueError("dense sample count must be >= control point count")
 

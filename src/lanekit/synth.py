@@ -18,6 +18,8 @@ import numpy as np
 from .autolabel import CameraModel, Trajectory
 from .temporal import EgoPose, apply_transform
 
+SAMPLE_STEP = 0.5  # m between ground-truth lane samples along the centerline parameter y
+
 
 @dataclass(frozen=True)
 class SceneSpec:
@@ -32,7 +34,6 @@ class SceneSpec:
     frame_interval: float = 0.1
     seed: int = 0
     lane_length: float = 400.0
-    sample_step: float = 0.5
 
     def __post_init__(self):
         if self.lane_spacing <= 0:
@@ -122,7 +123,7 @@ def gen_scene(spec: SceneSpec) -> World:
     vector equal to the surface normal; a drive past the centerline's end
     is rejected.
     """
-    y = np.arange(0.0, spec.lane_length + spec.sample_step, spec.sample_step)
+    y = np.arange(0.0, spec.lane_length + SAMPLE_STEP, SAMPLE_STEP)
     center = _centerline(spec, y)
     _, _, lateral = _road_frame(spec, y)
 
@@ -154,16 +155,16 @@ def gen_scene(spec: SceneSpec) -> World:
 
 
 def render_2d(world: World, frame_index: int, cam: CameraModel,
-              pixel_noise_sigma: float = 0.0, rng: np.random.Generator | None = None,
-              max_depth: float = 120.0):
+              pixel_noise_sigma: float = 0.0, max_depth: float = 120.0):
     """Project ground-truth lanes into one frame's image.
 
     Points behind the camera or outside the image are dropped; optional
-    isotropic Gaussian pixel noise is added before the bounds check.
+    isotropic Gaussian pixel noise, drawn from a generator seeded by
+    (scene seed, frame index), is added before the bounds check, so a
+    frame renders the same however many frames are rendered before it.
     Polylines come back ordered bottom-to-top (near to far).
     """
-    if rng is None:
-        rng = np.random.default_rng([world.spec.seed, frame_index])
+    rng = np.random.default_rng([world.spec.seed, frame_index])
     pose = world.trajectory.poses[frame_index]
     inv = pose.inverse_matrix()
     detections = []

@@ -139,10 +139,11 @@ class MemoryQueue:
         return sum(b.entry_count for b in self._blocks)
 
     def push_frame(self, points, embeddings, confidences, pose: EgoPose,
-                   frame_index: int, keep: int = 10, lane_ids=None) -> None:
+                   frame_index: int, keep: int = 10) -> None:
         """Append the `keep` most confident lanes as the newest block, evicting the oldest.
 
         Confidence ties keep the lower lane index first for determinism.
+        The block's `lane_ids` are the kept lanes' indices in the input.
         """
         points = np.asarray(points, dtype=float)
         embeddings = np.asarray(embeddings, dtype=float)
@@ -150,9 +151,6 @@ class MemoryQueue:
         n = points.shape[0]
         if not (embeddings.shape[0] == n and confidences.shape[0] == n):
             raise ValueError("points, embeddings, and confidences must agree on lane count")
-        if lane_ids is None:
-            lane_ids = np.arange(n)
-        lane_ids = np.asarray(lane_ids)
         if keep > n:
             warnings.warn(f"keep={keep} exceeds lane count {n}; keeping all lanes")
             keep = n
@@ -164,7 +162,7 @@ class MemoryQueue:
                 points=points[order].copy(),
                 embeddings=embeddings[order].copy(),
                 confidences=confidences[order].copy(),
-                lane_ids=lane_ids[order].copy(),
+                lane_ids=order,
             )
         )
         while len(self._blocks) > self.capacity:

@@ -253,6 +253,30 @@ class TestAutolabelCommand:
         assert "trajectory" in json.loads(capsys.readouterr().err)["error"]
         assert not (tmp_path / "labels.jsonl").exists()
 
+    @pytest.mark.parametrize("suffix, edit, message", [
+        ("trajectory", lambda d: d["poses"][6].update(timestamp_s=d["poses"][5]["timestamp_s"]),
+         "malformed trajectory: timestamps must be strictly increasing"),
+        ("trajectory", lambda d: d["poses"][5].update(pose=[float("nan")] * 16),
+         "malformed trajectory: pose has non-finite entries"),
+        ("camera", lambda d: d.update(fx=-1.0), "malformed camera file: focal lengths must be positive"),
+    ], ids=["repeated-timestamp", "nan-pose", "negative-fx"])
+    def test_bad_trajectory_or_camera_names_its_file(self, tmp_path, capsys, suffix, edit, message):
+        run_synth(tmp_path)
+        bad = tmp_path / f"scene.{suffix}.json"
+        doc = json.loads(bad.read_text())
+        edit(doc)
+        bad.write_text(json.dumps(doc))
+        code = main([
+            "autolabel",
+            "--trajectory", str(tmp_path / "scene.trajectory.json"),
+            "--camera", str(tmp_path / "scene.camera.json"),
+            "--detections", str(tmp_path / "scene.detections.jsonl"),
+            "--out", str(tmp_path / "labels.jsonl"),
+        ])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"].startswith(f"{bad}: {message}")
+        assert not (tmp_path / "labels.jsonl").exists()
+
     def test_version_1_detections_rejected(self, tmp_path, capsys):
         run_synth(tmp_path)
         dets_path = tmp_path / "scene.detections.jsonl"

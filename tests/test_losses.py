@@ -674,6 +674,21 @@ class TestLossBreakdown:
         expected = 2.0 + 2.0 + 1.5 + 0.4 + 1.0 + 1.8 + 2.8
         assert breakdown.total == pytest.approx(expected, abs=1e-12)
 
+    def test_total_adds_the_terms_left_to_right(self):
+        rng = np.random.default_rng(15)
+        for case in range(500):
+            w = LossWeights(*(rng.normal(0.0, 10.0, 7) * 10.0 ** rng.integers(-8, 9, 7)).tolist())
+            # every term is zero in odd cases, so products are 0.0 or, with a negative weight, -0.0
+            terms = np.where(rng.uniform(size=7) < 0.3 + 0.7 * (case % 2), 0.0, rng.exponential(1.0, 7))
+            b = LossBreakdown(*terms.tolist(), weights=w)
+            written_out = (w.regression * b.regression + w.visibility * b.visibility
+                           + w.classification * b.classification + w.spatial_parallel * b.spatial_parallel
+                           + w.spatial_smooth * b.spatial_smooth + w.spatial_curvature * b.spatial_curvature
+                           + w.temporal * b.temporal)
+            assert np.float64(b.total).tobytes() == np.float64(written_out).tobytes()
+        negative_zero = LossBreakdown(weights=LossWeights(*[-1.0] * 7)).total
+        assert negative_zero == 0.0 and np.signbit(negative_zero)
+
     def test_all_losses_nonnegative_on_random_inputs(self):
         rng = np.random.default_rng(99)
         cfg = CFG

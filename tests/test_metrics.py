@@ -137,6 +137,7 @@ class TestMatchLanes:
             assert len(got.pairs) == len(want.pairs)
             for a, b in zip(got.pairs, want.pairs):
                 assert (a.pred_index, a.gt_index, a.iou) == (b.pred_index, b.gt_index, b.iou)
+                assert type(a.iou) is float and 0.0 < a.iou <= 1.0
                 for name in ("abs_dx", "abs_dz", "grid_y"):
                     assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
             seen["dropped"] += want.fp + want.fn < len(preds) + len(gts) - 2 * want.tp

@@ -15,8 +15,8 @@ from lanekit.splines import _KNOT_SNAP, _segment_weights
 
 
 def random_control_points(cfg, rng):
-    x = rng.uniform(cfg.x_start, cfg.x_end, cfg.m)
-    z = rng.uniform(cfg.z_start, cfg.z_end, cfg.m)
+    x = rng.uniform(-20.0, 20.0, cfg.m)
+    z = rng.uniform(-5.0, 5.0, cfg.m)
     v = rng.uniform(0.0, 1.0, cfg.m)
     return control_points_from_columns(cfg, x, z, v)
 
