@@ -333,13 +333,10 @@ def spatio_temporal_layer(embeddings: np.ndarray, points: np.ndarray,
     q = q + _same_line_attention(q, n, m, heads)
     q = q + gather_attention(q, q, q, neighbor_line_index(points), heads=heads)
 
+    # an empty memory gives (0, channels) keys and degree-0 rows, which attend to nothing
     memory_points = np.asarray(memory_points, dtype=float).reshape(-1, 4)
-    memory_embeddings = np.asarray(memory_embeddings, dtype=float).reshape(-1, channels) \
-        if memory_points.shape[0] else np.zeros((0, channels))
-    if memory_points.shape[0]:
-        mem_keys = memory_embeddings + positional_encoding(memory_points, enc)
-    else:
-        mem_keys = memory_embeddings
+    mem_keys = (np.asarray(memory_embeddings, dtype=float).reshape(-1, channels)
+                + positional_encoding(memory_points, enc))
     mem = memory_index(flat_points, memory_points, k_nearest=k_nearest)
     q = q + gather_attention(q, mem_keys, mem_keys, mem, heads=heads)
     return q.reshape(n, m, channels)

@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .temporal import EgoPose, apply_transform
+from .temporal import EgoPose, apply_transform, rigid_inverse
 
 _PARALLEL_EPS = 1e-12
 _WINDOW_SLACK = 1e-6  # m; widens segment windows past floating-point rounding
@@ -71,7 +71,9 @@ _LABEL_STEP = 2.0  # m between label points along local y
 class CameraModel:
     """Pinhole intrinsics plus the camera-to-vehicle rigid transform.
 
-    Camera axes: x right, y down, z forward (optical axis).
+    Camera axes: x right, y down, z forward (optical axis).  The
+    extrinsic is checked as an `EgoPose` matrix is, and stored as its
+    read-only copy.
     """
 
     fx: float
@@ -85,26 +87,17 @@ class CameraModel:
     def __post_init__(self):
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
-        ext = np.asarray(self.extrinsic, dtype=float)
-        if ext.shape != (4, 4):
-            raise ValueError("extrinsic must be a 4x4 transform")
-        r = ext[:3, :3]
-        if not np.allclose(r.T @ r, np.eye(3), atol=1e-9):
-            raise ValueError("extrinsic rotation is not orthonormal")
-        ext = ext.copy()
-        ext.flags.writeable = False
-        object.__setattr__(self, "extrinsic", ext)
+        object.__setattr__(self, "extrinsic", EgoPose(self.extrinsic).matrix)
 
     @classmethod
     def level_camera(cls, height_m: float = 1.5, fx: float = 1000.0, fy: float = 1000.0,
                      cx: float = 480.0, cy: float = 360.0, width: int = 960,
                      image_height: int = 720) -> "CameraModel":
         """Forward-looking camera at the given height above the vehicle origin."""
-        ext = np.eye(4)
         # camera x -> vehicle x, camera y (down) -> -vehicle z, camera z (forward) -> vehicle y
-        ext[:3, :3] = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
-        ext[:3, 3] = [0.0, 0.0, height_m]
-        return cls(fx=fx, fy=fy, cx=cx, cy=cy, extrinsic=ext, width=width, height=image_height)
+        ext = EgoPose.from_parts([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]],
+                                 [0.0, 0.0, height_m])
+        return cls(fx=fx, fy=fy, cx=cx, cy=cy, extrinsic=ext.matrix, width=width, height=image_height)
 
     def pixel_rays(self, pixels) -> tuple[np.ndarray, np.ndarray]:
         """Rays of (n, 2) pixels in vehicle coordinates: (origin (3,), unit directions (n, 3))."""
@@ -119,12 +112,7 @@ class CameraModel:
 
     def project_vehicle_points(self, points_vehicle: np.ndarray):
         """Project vehicle-frame points to pixels; returns (pixels, mask of camera depth > 0.1 m)."""
-        pts = np.asarray(points_vehicle, dtype=float)
-        inv = np.eye(4)
-        rt = self.extrinsic[:3, :3].T
-        inv[:3, :3] = rt
-        inv[:3, 3] = -rt @ self.extrinsic[:3, 3]
-        cam = apply_transform(inv, pts)
+        cam = apply_transform(rigid_inverse(self.extrinsic), points_vehicle)
         in_front = cam[:, 2] > _MIN_DEPTH
         depth = np.where(in_front, cam[:, 2], 1.0)
         u = self.cx + self.fx * cam[:, 0] / depth
@@ -263,9 +251,7 @@ def build_surface(traj: Trajectory) -> SurfaceModel:
         raise ValueError("need at least 2 poses to build a surface")
     positions = traj.positions
     chords = np.diff(positions, axis=0)
-    lengths = np.linalg.norm(chords, axis=1)
-    if np.any(lengths < 1e-9):
-        raise ValueError("duplicate consecutive trajectory positions")
+    lengths = np.linalg.norm(chords, axis=1)  # `Trajectory` rejects lengths below 1e-9
     directions = chords / lengths[:, None]
     ups = np.array([p.rotation[:, 2] for p in traj.poses[:-1]])
     normals = ups - np.einsum("kc,kc->k", ups, directions)[:, None] * directions
@@ -519,8 +505,6 @@ def emit_frame_labels(tracker: LineTracker, pose: EgoPose, max_range: float = 25
     inv = pose.inverse_matrix()
     lanes = []
     for track_id, category, world in polylines:
-        if world.shape[0] < 2:
-            continue
         local = apply_transform(inv, world)
         inside = (local[:, 1] >= 0.0) & (local[:, 1] <= max_range)
         local = local[inside]

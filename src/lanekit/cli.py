@@ -94,7 +94,7 @@ OPTIONS = {
         "chamfer-threshold": (_float, 0.3),
     },
     "spline": {
-        "control-points": (frames._int, 20),
+        "control-points": (frames._int, 20, 4),
         "y-start": (_float, 3.0),
         "y-end": (_float, 103.0),
         "samples": (frames._int, 100),
@@ -111,7 +111,8 @@ OPTIONS = {
     "temporal-demo": {
         "frames": (frames._int, 120, 1),
         "lanes": (frames._int, 4, 1),
-        "control-points": (frames._int, 20, 4),
+        # CurveConfig needs as many dense samples (100 by default) as control points
+        "control-points": (frames._int, 20, "[4, 100]"),
         "grade": (_float, 0.0),
         "alpha": (_float, 0.5, "[0, 1]"),
         "history": (frames._int, 3, 1),
@@ -346,12 +347,10 @@ def cmd_spline(args, config: dict) -> int:
             for lane in f.lanes:
                 pts = lane.points
                 keep = (pts[:, 1] >= cfg.y_start) & (pts[:, 1] <= cfg.y_end)
-                if np.count_nonzero(keep) < cfg.m:
-                    continue
                 try:
                     control = splines.fit_control_points(pts[keep], cfg)
                 except splines.RankDeficientFit:
-                    continue  # e.g. a lane that ends before the last knot span
+                    continue  # e.g. too few samples, or a lane that ends before the last knot span
                 lanes.append(Lane(lane_id=lane.lane_id, category=lane.category,
                                   points=splines.evaluate_curve(control, basis)))
             written += 1

@@ -198,13 +198,14 @@ def fit_control_points(dense: np.ndarray, cfg: CurveConfig) -> np.ndarray:
     Solves basis @ P ~= dense for the x, z, v columns; the y column stays
     fixed uniform.  Visibility is clamped to [0, 1] after the solve.
     Raises `RankDeficientFit` when the samples leave a control point
-    undetermined, e.g. when they stop short of the last knot span.
+    undetermined: when there are fewer samples than control points, or
+    when they stop short of the last knot span.
     """
     dense = np.asarray(dense, dtype=float)
     if dense.ndim != 2 or dense.shape[1] != 4:
         raise ValueError("dense samples must be an (n, 4) array of (x, y, z, v)")
     if dense.shape[0] < cfg.m:
-        raise ValueError(f"need at least {cfg.m} samples, got {dense.shape[0]}")
+        raise RankDeficientFit(f"need at least {cfg.m} samples, got {dense.shape[0]}")
     args = arg_for_y(dense[:, 1], cfg)
     basis = basis_matrix(cfg.m, args, order=0)
     solution, _, rank, _ = np.linalg.lstsq(basis.matrix, dense[:, [0, 2, 3]], rcond=None)

@@ -5,8 +5,9 @@ z(y); lanes are laid out at constant orthogonal offsets from the
 centerline and the ego trajectory follows the centerline at constant
 speed.  Rendering projects ground-truth lanes through a pinhole camera
 (optionally with pixel noise), the exact inverse of the auto-labeling
-lift, and occlusion flags come from ray-box tests against per-frame
-obstacles.
+lift.  `simulate_occlusion` flags lane points hidden behind per-frame
+obstacles by ray-box tests; no CLI scene calls it yet, so every
+ground-truth point `gen_scene` writes is visible.
 """
 
 from __future__ import annotations

@@ -58,12 +58,17 @@ class EgoPose:
         return self.matrix[:3, 3]
 
     def inverse_matrix(self) -> np.ndarray:
-        """Analytic rigid inverse [R^T | -R^T t]."""
-        inv = np.eye(4)
-        rt = self.matrix[:3, :3].T
-        inv[:3, :3] = rt
-        inv[:3, 3] = -rt @ self.matrix[:3, 3]
-        return inv
+        """`rigid_inverse` of the pose matrix."""
+        return rigid_inverse(self.matrix)
+
+
+def rigid_inverse(transform: np.ndarray) -> np.ndarray:
+    """Analytic inverse [R^T | -R^T t] of a 4x4 rigid transform, such as `EgoPose.matrix`."""
+    inv = np.eye(4)
+    rt = transform[:3, :3].T
+    inv[:3, :3] = rt
+    inv[:3, 3] = -rt @ transform[:3, 3]
+    return inv
 
 
 def relative_transform(src: EgoPose, dst: EgoPose) -> np.ndarray:

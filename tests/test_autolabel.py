@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,27 @@ class TestTrajectory:
         poses = [EgoPose.identity(), EgoPose.identity()]
         with pytest.raises(ValueError):
             Trajectory([0.0, 0.1], poses)
+
+
+class TestCameraModel:
+    @pytest.mark.parametrize("edit, message", [
+        (lambda ext: ext[:3, :3], "pose must be 4x4, got (3, 3)"),
+        (lambda ext: ext[:, :3], "pose must be 4x4, got (4, 3)"),
+        (lambda ext: ext * [[1.0], [1.0], [2.0], [1.0]], "pose rotation is not orthonormal"),
+        (lambda ext: np.vstack([ext[:3], [5.0, 6.0, 7.0, 8.0]]), "pose bottom row must be (0, 0, 0, 1)"),
+        (lambda ext: np.vstack([ext[:3], [0.0, 0.0, 0.0, 2.0]]), "pose bottom row must be (0, 0, 0, 1)"),
+    ], ids=["3x3", "4x3", "scaled-row", "bottom-row", "bottom-row-scale"])
+    def test_rejects_non_rigid_extrinsic(self, edit, message):
+        level = CameraModel.level_camera()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CameraModel(fx=1000.0, fy=1000.0, cx=480.0, cy=360.0, extrinsic=edit(level.extrinsic))
+
+    def test_extrinsic_is_a_read_only_copy(self):
+        ext = CameraModel.level_camera().extrinsic.copy()
+        cam = CameraModel(fx=1000.0, fy=1000.0, cx=480.0, cy=360.0, extrinsic=ext)
+        ext[0, 3] = 5.0
+        assert cam.extrinsic[0, 3] == 0.0
+        assert not cam.extrinsic.flags.writeable
 
 
 class TestBuildSurface:

@@ -259,7 +259,12 @@ class TestAutolabelCommand:
         ("trajectory", lambda d: d["poses"][5].update(pose=[float("nan")] * 16),
          "malformed trajectory: pose has non-finite entries"),
         ("camera", lambda d: d.update(fx=-1.0), "malformed camera file: focal lengths must be positive"),
-    ], ids=["repeated-timestamp", "nan-pose", "negative-fx"])
+        ("camera", lambda d: d["extrinsic"].__setitem__(slice(12, 16), [5.0, 6.0, 7.0, 8.0]),
+         "malformed camera file: pose bottom row must be (0, 0, 0, 1)"),
+        ("camera", lambda d: d["extrinsic"].__setitem__(0, 2.0),
+         "malformed camera file: pose rotation is not orthonormal"),
+    ], ids=["repeated-timestamp", "nan-pose", "negative-fx", "extrinsic-bottom-row",
+            "extrinsic-not-orthonormal"])
     def test_bad_trajectory_or_camera_names_its_file(self, tmp_path, capsys, suffix, edit, message):
         run_synth(tmp_path)
         bad = tmp_path / f"scene.{suffix}.json"
@@ -502,6 +507,12 @@ class TestTemporalDemoCommand:
         assert main(["temporal-demo", "--frames", "402"]) == 0
         assert json.loads(capsys.readouterr().out)["frames"] == 402
 
+    @pytest.mark.parametrize("control_points", [4, 100])
+    def test_control_point_bounds_run(self, capsys, control_points):
+        assert main(["temporal-demo", "--frames", "3", "--grade", "0.1",
+                     "--control-points", str(control_points)]) == 0
+        assert json.loads(capsys.readouterr().out)["frames"] == 3
+
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):
@@ -606,6 +617,9 @@ def test_temporal_demo_records_its_weights(tmp_path, capsys):
     (["temporal-demo", "--frames", "0"], None, "--frames"),
     (["temporal-demo", "--history", "0"], None, "--history"),
     (["temporal-demo", "--control-points", "3"], None, "--control-points"),
+    (["temporal-demo", "--control-points", "101"], None, "--control-points must lie in [4, 100], got 101"),
+    (["spline", "--input", "{scene}.gt.jsonl", "--control-points", "3"], None,
+     "--control-points must be at least 4, got 3"),
     (["temporal-demo", "--perturb", "-0.5"], None, "--perturb"),
     (["synth", "{out}", "--label-range", "-1"], None, "--label-range must lie in (0, inf)"),
     (["synth", "{out}", "--label-range", "0"], None, "--label-range must lie in (0, inf)"),
@@ -633,7 +647,8 @@ def test_temporal_demo_records_its_weights(tmp_path, capsys):
         "curvature-inf", "y-end-inf", "synth-no-lanes", "synth-negative-lanes", "config-no-lanes",
         "negative-lane-length", "synth-negative-seed", "synth-no-frames", "negative-pixel-noise",
         "masks-negative-seed", "masks-no-lanes", "negative-keep", "demo-no-lanes", "demo-negative-seed",
-        "demo-no-frames", "no-history", "too-few-control-points", "negative-perturb",
+        "demo-no-frames", "no-history", "too-few-control-points", "too-many-control-points",
+        "spline-too-few-control-points", "negative-perturb",
         "negative-label-range", "zero-label-range", "zero-lane-spacing", "zero-speed",
         "negative-frame-interval", "config-negative-speed", "negative-alpha", "alpha-above-one",
         "negative-k-nearest", "masks-negative-history", "masks-negative-keep", "lane-shorter-than-drive",

@@ -405,3 +405,17 @@ class TestTrajectoryCamera:
             path.write_text(json.dumps({**doc, "height": bad}))
             with pytest.raises(SchemaError, match="height"):
                 read_camera(path)
+
+    @pytest.mark.parametrize("row, entries, message", [
+        (3, [5.0, 6.0, 7.0, 8.0], "pose bottom row must be (0, 0, 0, 1)"),
+        (0, [2.0, 0.0, 0.0, 0.0], "pose rotation is not orthonormal"),
+    ], ids=["bottom-row", "scaled-rotation"])
+    def test_non_rigid_camera_extrinsic_names_the_file(self, tmp_path, row, entries, message):
+        path = tmp_path / "cam.json"
+        write_camera(path, CameraModel.level_camera())
+        doc = json.loads(path.read_text())
+        doc["extrinsic"][4 * row:4 * row + 4] = entries
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as caught:
+            read_camera(path)
+        assert str(caught.value) == f"{path}: malformed camera file: {message}"

@@ -3,6 +3,7 @@ import pytest
 
 from lanekit.splines import (
     CurveConfig,
+    RankDeficientFit,
     arg_for_y,
     basis_matrix,
     build_basis,
@@ -316,6 +317,13 @@ class TestFit:
         dense = np.zeros((4, 4))
         dense[:, 1] = [0, 30, 60, 100]
         with pytest.raises(ValueError):
+            fit_control_points(dense, cfg)
+
+    def test_too_few_samples_is_rank_deficient(self):
+        cfg = CurveConfig(m=8, y_start=0.0, y_end=100.0, samples=16)
+        dense = np.zeros((7, 4))
+        dense[:, 1] = np.linspace(0.0, 100.0, 7)
+        with pytest.raises(RankDeficientFit, match="need at least 8 samples, got 7"):
             fit_control_points(dense, cfg)
 
 
