@@ -50,6 +50,15 @@ point.  Neither changes any output:
   points is built by the same argument, which holds for any point set,
   and each (point, segment) distance is computed the same way, so every
   line gets the (arclength, offset) that its own call would give.
+
+The kernels keep x, y and z as separate planes: (segments, rays) for
+rays and (points, segments) for points.  None of them builds a
+rays x segments or points x segments array with a trailing axis of 3,
+and the crossing pre-filter updates its one (segments, rays) array in
+place.  Results equal the `np.einsum` and `np.linalg.norm` forms bit for
+bit, because the planes are added in the same order (`_dot3`, `_norm3`):
+a three-term sum as einsum's (x + z) + y, plus +0.0 since einsum's sum
+never ends at -0.0, and a norm as (x^2 + y^2) + z^2.
 """
 
 from __future__ import annotations
@@ -65,6 +74,28 @@ _WINDOW_SLACK = 1e-6  # m; widens segment windows past floating-point rounding
 _DOT_SLACK = 1e-14  # bounds the rounding gap between two evaluations of a unit-vector dot product
 _MIN_DEPTH = 0.1  # m; camera-frame depth a point needs to project
 _LABEL_STEP = 2.0  # m between label points along local y
+
+
+def _planes(a: np.ndarray) -> np.ndarray:
+    """The x, y and z columns of (n, 3) `a` as the contiguous rows of a (3, n) array."""
+    return np.ascontiguousarray(np.asarray(a).T)
+
+
+def _dot3(a, b) -> np.ndarray:
+    """a.b of vectors given as x, y and z planes, summed as `np.einsum`
+    sums a length-3 axis: (x + z) + y, then + 0.0, because einsum's sum
+    starts from +0.0 and so never ends at -0.0."""
+    (ax, ay, az), (bx, by, bz) = a, b
+    dot = (ax * bx + az * bz) + ay * by
+    dot += 0.0
+    return dot
+
+
+def _norm3(a) -> np.ndarray:
+    """|a| of vectors given as x, y and z planes, summed as
+    `np.linalg.norm(..., axis=-1)` sums: (x^2 + y^2) + z^2."""
+    x, y, z = a
+    return np.sqrt((x * x + y * y) + z * z)
 
 
 @dataclass(frozen=True)
@@ -203,15 +234,15 @@ class SurfaceModel:
         gap = np.maximum(lo - along, along - hi)
         return np.flatnonzero(gap <= radius + _WINDOW_SLACK)
 
-    def _closest(self, pts: np.ndarray, segments: np.ndarray):
-        """Per point and segment: offset from the segment start, clamped
-        along-track parameter, and distance to the clamped span."""
-        origins, directions = self.origins[segments], self.directions[segments]
+    def _closest(self, points, segments: np.ndarray):
+        """Per point and segment, as (points, segments) planes: the clamped
+        along-track parameter and the distance to the clamped span.
+        `points` holds the x, y and z columns, each (points, 1)."""
+        origins, directions = _planes(self.origins[segments]), _planes(self.directions[segments])
         lo, hi = (b[segments] for b in self.spans())
-        rel = pts[:, None, :] - origins[None, :, :]
-        along = np.clip(np.einsum("pkc,kc->pk", rel, directions), lo[None, :], hi[None, :])
-        closest = origins[None, :, :] + along[:, :, None] * directions[None, :, :]
-        return rel, along, np.linalg.norm(pts[:, None, :] - closest, axis=2)
+        along = _dot3([p - o for p, o in zip(points, origins)], directions)
+        np.clip(along, lo, hi, out=along)
+        return along, _norm3([p - (o + along * d) for p, o, d in zip(points, origins, directions)])
 
     def locate(self, points: np.ndarray):
         """Project world points onto the trajectory: (arclength, lateral offset) per point.
@@ -223,20 +254,20 @@ class SurfaceModel:
         of the centroid's nearest distance are compared.
         """
         pts = np.asarray(points, dtype=float)
+        planes = _planes(pts)
         segments = np.arange(self.segment_count)
         if pts.shape[0]:
-            center = pts.mean(axis=0)
-            radius = np.linalg.norm(pts - center, axis=1).max()
-            to_center = self._closest(center[None, :], segments)[2][0]
+            center = pts.mean(axis=0)[:, None]
+            radius = _norm3(planes - center).max()
+            to_center = self._closest(center[:, :, None], segments)[1][0]
             near = np.flatnonzero(to_center <= to_center.min() + 2.0 * radius + _WINDOW_SLACK)
             if near.size:  # empty only for non-finite points
                 segments = near
-        rel, along, dist = self._closest(pts, segments)
+        along, dist = self._closest(planes[:, :, None], segments)
         nearest = np.argmin(dist, axis=1)
-        idx = np.arange(pts.shape[0])
         seg = segments[nearest]
-        lam = self.arclength[seg] + along[idx, nearest]
-        offset = np.einsum("pc,pc->p", rel[idx, nearest], self.laterals[seg])
+        lam = self.arclength[seg] + along[np.arange(pts.shape[0]), nearest]
+        offset = _dot3(planes - self.origins[seg].T, self.laterals[seg].T)
         return lam, offset
 
 
@@ -274,10 +305,10 @@ def _world_rays(cam: CameraModel, pixels, pose: EgoPose):
 
 
 def _plane_numerators(surf: SurfaceModel, origins: np.ndarray, segments) -> np.ndarray:
-    """n.(p_k - o) of the segment planes, (rays or 1, k): the numerators of
+    """n.(p_k - o) of the segment planes, (k, rays or 1): the numerators of
     the ray parameters t = n.(p_k - o) / n.d where rays cross the planes."""
-    rel = surf.origins[segments][None, :, :] - np.atleast_2d(origins)[:, None, :]
-    return np.einsum("rkc,kc->rk", rel, surf.normals[segments])
+    rel = _planes(surf.origins[segments])[:, :, None] - np.atleast_2d(origins).T[:, None, :]
+    return _dot3(rel, _planes(surf.normals[segments])[:, :, None])
 
 
 def _intersect_rays(surf: SurfaceModel, origins: np.ndarray, directions: np.ndarray,
@@ -287,28 +318,30 @@ def _intersect_rays(surf: SurfaceModel, origins: np.ndarray, directions: np.ndar
     Only `segments` (sorted indices; default all) are tested, and ties
     go to the lowest index.  `origins` is (rays, 3) or one shared
     (1, 3) origin.  Validity means the hit's along-track parameter falls
-    inside the segment span (`SurfaceModel.spans`).
+    inside the segment span (`SurfaceModel.spans`).  Every quantity is a
+    (segments, rays) plane; only the chosen hit of each ray is built.
     """
     o = np.atleast_2d(origins)
     d = np.atleast_2d(directions)
-    seg_origins, seg_dirs, normals = surf.origins[segments], surf.directions[segments], surf.normals[segments]
-    if normals.shape[0] == 0:
+    seg_origins, seg_dirs, normals = (_planes(a[segments])[:, :, None]
+                                      for a in (surf.origins, surf.directions, surf.normals))
+    if normals.shape[1] == 0:
         return np.full(d.shape, np.nan)
-    lo, hi = (b[segments] for b in surf.spans())
-    denom = np.einsum("kc,rc->rk", normals, d)
+    lo, hi = (b[segments][:, None] for b in surf.spans())
+    ray_origins, ray_dirs = o.T[:, None, :], _planes(d)[:, None, :]
+    denom = _dot3(normals, ray_dirs)
     numer = _plane_numerators(surf, o, segments)
     with np.errstate(divide="ignore", invalid="ignore"):
         t_hit = numer / denom
     ok = (np.abs(denom) > _PARALLEL_EPS) & (t_hit > 1e-9)
     t_safe = np.where(np.isfinite(t_hit), t_hit, 0.0)
-    hits = o[:, None, :] + t_safe[:, :, None] * d[:, None, :]
-    along = np.einsum("rkc,kc->rk", hits - seg_origins[None, :, :], seg_dirs)
-    ok &= (along >= lo[None, :] - 1e-9) & (along <= hi[None, :] + 1e-9)
+    along = _dot3([r + t_safe * u - s for r, u, s in zip(ray_origins, ray_dirs, seg_origins)], seg_dirs)
+    ok &= (along >= lo - 1e-9) & (along <= hi + 1e-9)
     t_valid = np.where(ok, t_hit, np.inf)
-    best = np.argmin(t_valid, axis=1)
-    rows = np.arange(d.shape[0])
-    out = hits[rows, best]
-    out[~np.isfinite(t_valid[rows, best])] = np.nan
+    best = np.argmin(t_valid, axis=0)
+    rays = np.arange(d.shape[0])
+    out = o + t_safe[best, rays][:, None] * d
+    out[~np.isfinite(t_valid[best, rays])] = np.nan
     return out
 
 
@@ -334,12 +367,12 @@ def lift_detections(detections, cam: CameraModel, pose: EgoPose, surf: SurfaceMo
         t_max = np.where(dir_y > 0, (near_range - cam.extrinsic[1, 3]) / dir_y, np.inf)
     window = surf.segments_within(origin_w[0], np.max(t_max))
     numer = _plane_numerators(surf, origin_w, window)
-    # t = |numer| / facing, with the sign of numer folded into the normals
-    facing = dirs_w @ (np.sign(numer).T * surf.normals[window]).T
-    bound = t_max[:, None] * (1.0 + 1e-9) + 1e-6
-    with np.errstate(invalid="ignore"):
-        crossing = bound * (facing + _DOT_SLACK) >= np.abs(numer)
-    cast = np.flatnonzero(crossing.any(axis=1))
+    # t = |numer| / facing, with the sign of numer folded into the normals; (segments, rays), in place
+    facing = (np.sign(numer) * surf.normals[window]) @ dirs_w.T
+    facing += _DOT_SLACK
+    with np.errstate(invalid="ignore"):  # inf * 0: a ray without a bound, where facing + slack is 0
+        facing *= t_max * (1.0 + 1e-9) + 1e-6
+    cast = np.flatnonzero((facing >= np.abs(numer)).any(axis=0))
     hits = np.full(dirs_w.shape, np.nan)
     hits[cast] = _intersect_rays(surf, origin_w, dirs_w[cast], window)
     good = ~np.isnan(hits).any(axis=1)

@@ -169,6 +169,16 @@ def _resolve(args) -> dict:
     return resolved
 
 
+def _config(cls, config: dict, **options):
+    """`cls` built with each field set to the named option's value.  The class
+    owns its rules; a rule that fails names the options it was built from."""
+    try:
+        return cls(**{field: config[name] for field, name in options.items()})
+    except ValueError as exc:
+        given = ", ".join(f"--{name} {config[name]}" for name in options.values())
+        raise ValueError(f"{given}: {exc}") from None
+
+
 def cmd_synth(args, config: dict) -> int:
     spec = synth.SceneSpec(
         num_lanes=config["num-lanes"],
@@ -310,14 +320,9 @@ def _accumulate(cfg: metrics.MatchConfig, pairs) -> metrics.EvalAccumulator:
 
 
 def cmd_eval(args, config: dict) -> int:
-    cfg = metrics.MatchConfig(
-        point_threshold=config["threshold"],
-        match_fraction=config["match-fraction"],
-        y_min=config["y-min"],
-        y_max=config["y-max"],
-        y_step=config["y-step"],
-        chamfer_threshold=config["chamfer-threshold"],
-    )
+    cfg = _config(metrics.MatchConfig, config, point_threshold="threshold",
+                  match_fraction="match-fraction", y_min="y-min", y_max="y-max", y_step="y-step",
+                  chamfer_threshold="chamfer-threshold")
     try:
         acc = _accumulate(cfg, _pairs_in_order(args.pred, args.gt))
     except _Unordered:
@@ -334,8 +339,8 @@ def cmd_eval(args, config: dict) -> int:
 
 
 def cmd_spline(args, config: dict) -> int:
-    cfg = splines.CurveConfig(m=config["control-points"], y_start=config["y-start"],
-                              y_end=config["y-end"], samples=config["samples"])
+    cfg = _config(splines.CurveConfig, config, m="control-points", y_start="y-start", y_end="y-end",
+                  samples="samples")
     _, in_frames = frames.iter_lane_frames(args.input)
     basis = splines.build_basis(cfg)
     written = 0

@@ -9,7 +9,9 @@ from lanekit.autolabel import (
     LineTracker,
     Track,
     Trajectory,
+    _dot3,
     _intersect_rays,
+    _norm3,
     build_surface,
     emit_frame_labels,
     lift_detections,
@@ -748,3 +750,63 @@ class TestOneLocatePerFrame:
             np.testing.assert_array_equal(a.offsets, b.offsets)
             np.testing.assert_array_equal(a.variances, b.variances)
             np.testing.assert_array_equal(a.counts, b.counts)
+
+
+def mixed_operands(rng, shape):
+    """Random normal values; a quarter of them rescaled to magnitudes from
+    1e-300 to 1e300, and some replaced by +0.0 or -0.0."""
+    values = rng.normal(size=shape)
+    extreme = rng.random(shape) < 0.25
+    values[extreme] = np.copysign(10.0 ** rng.uniform(-300.0, 300.0, int(extreme.sum())), values[extreme])
+    zeros = rng.random(shape) < 0.15
+    values[zeros] = rng.choice([-0.0, 0.0], int(zeros.sum()))
+    return values
+
+
+def assert_same_bits(got, want):
+    """Equal bit patterns; NaNs (inf - inf) at the same places."""
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+class TestSummationOrder:
+    """The per-coordinate kernels add a dot product's three terms as `np.einsum`
+    does and a norm's three squares as `np.linalg.norm` does, so the full-scan
+    oracles hold bit for bit.  A numpy that changes either order fails here."""
+
+    # the einsum forms of the oracles, with each operand as x, y and z planes
+    # broadcast to the einsum's output shape
+    FORMS = {
+        "rkc,kc->rk": ((40, 30, 3), (30, 3), lambda a: a.transpose(2, 0, 1), lambda b: b.T),
+        "kc,rc->rk": ((30, 3), (40, 3), lambda a: a.T[:, None, :], lambda b: b.T[:, :, None]),
+        "pc,pc->p": ((500, 3), (500, 3), lambda a: a.T, lambda b: b.T),
+    }
+
+    @pytest.mark.parametrize("subscripts", sorted(FORMS))
+    def test_dot3_equals_einsum_bit_for_bit(self, subscripts):
+        shape_a, shape_b, planes_a, planes_b = self.FORMS[subscripts]
+        rng = np.random.default_rng(11)
+        a, b = mixed_operands(rng, shape_a), mixed_operands(rng, shape_b)
+        with np.errstate(all="ignore"):
+            want = np.einsum(subscripts, a, b)
+            got = _dot3(planes_a(a), planes_b(b))
+            (ax, ay, az), (bx, by, bz) = planes_a(a), planes_b(b)
+            in_order = (ax * bx + ay * by) + az * bz
+            unsigned = (ax * bx + az * bz) + ay * by
+        assert_same_bits(got, want)
+        assert np.isinf(want).any()
+        assert np.signbit(unsigned[want == 0.0]).any()  # sums of -0.0, which einsum ends at +0.0
+        assert not np.array_equal(in_order, want, equal_nan=True)  # the order is what is tested
+
+    @pytest.mark.parametrize("shape", [(500, 3), (40, 30, 3)])
+    def test_norm3_equals_linalg_norm_bit_for_bit(self, shape):
+        v = mixed_operands(np.random.default_rng(12), shape)
+        with np.errstate(all="ignore"):
+            want = np.linalg.norm(v, axis=-1)
+            got = _norm3(np.moveaxis(v, -1, 0))
+            x, y, z = np.moveaxis(v, -1, 0)
+            in_order = np.sqrt((x * x + z * z) + y * y)
+        assert_same_bits(got, want)
+        assert np.isinf(want).any() and (want == 0.0).any()
+        assert not np.array_equal(in_order, want)

@@ -641,6 +641,12 @@ def test_temporal_demo_records_its_weights(tmp_path, capsys):
     (["autolabel", "--min-hits", "-3"], None, "--min-hits must be at least 1"),
     (["temporal-demo", "--occlusion-start", "-1"], None, "--occlusion-start must be at least 0"),
     (["temporal-demo", "--occlusion-frames", "-5"], None, "--occlusion-frames must be at least 0"),
+    (["spline", "--input", "{scene}.gt.jsonl", "--samples", "10"], None,
+     "--samples 10: dense sample count must be >= control point count"),
+    (["spline", "--input", "{scene}.gt.jsonl", "--y-start", "50", "--y-end", "10"], None,
+     "--y-start 50.0, --y-end 10.0"),
+    (["eval", "--pred", "{scene}.gt.jsonl", "--gt", "{scene}.gt.jsonl", "--y-step", "0"], None,
+     "--y-step 0.0"),
 ], ids=["alpha-null", "weight-null", "curvature-object", "curvature-string", "unknown-key", "seed-float",
         "int-beyond-float", "overridden-entry-checked", "seed-bool", "path-key", "near-range-nan", "gate-nan",
         "station-spacing-zero", "station-spacing-negative", "pixel-noise-nan", "lane-spacing-nan",
@@ -653,7 +659,8 @@ def test_temporal_demo_records_its_weights(tmp_path, capsys):
         "negative-frame-interval", "config-negative-speed", "negative-alpha", "alpha-above-one",
         "negative-k-nearest", "masks-negative-history", "masks-negative-keep", "lane-shorter-than-drive",
         "lane-end-shortens-last-step", "zero-near-range", "autolabel-negative-label-range", "zero-gate",
-        "negative-min-hits", "negative-occlusion-start", "negative-occlusion-frames"])
+        "negative-min-hits", "negative-occlusion-start", "negative-occlusion-frames",
+        "spline-too-few-samples", "spline-empty-y-range", "eval-zero-y-step"])
 def test_bad_option_fails_naming_it(tmp_path, capsys, scene, argv, config, option):
     out = str(tmp_path / "out")
     argv = [arg.format(scene=scene, out=out) for arg in argv]
