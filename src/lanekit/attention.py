@@ -230,16 +230,6 @@ def masked_attention(queries: np.ndarray, keys: np.ndarray, values: np.ndarray,
     return out
 
 
-def scale_to_range(u, lo: float, hi: float):
-    """Map raw head outputs through a sigmoid onto [lo, hi]."""
-    if not lo < hi:
-        raise ValueError("range must satisfy lo < hi")
-    u = np.asarray(u, dtype=float)
-    sig = 1.0 / (1.0 + np.exp(-u))
-    out = sig * (hi - lo) + lo
-    return float(out) if out.ndim == 0 else out
-
-
 def sparsity_ratio(same_line: np.ndarray, neighbor: np.ndarray,
                    memory: np.ndarray | None = None) -> float:
     """Active fraction of the union mask over rows x (current keys + memory keys)."""

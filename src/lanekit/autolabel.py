@@ -437,9 +437,9 @@ class LineTracker:
         idx = np.clip(np.round(lam / self.spacing).astype(int), 0, self.stations.size - 1)
         order = np.argsort(idx, kind="stable")
         idx, offset = idx[order], offset[order]
-        uniq, start = np.unique(idx, return_index=True)
+        start = np.flatnonzero(np.r_[True, idx[1:] != idx[:-1]])
         means = np.add.reduceat(offset, start) / np.diff(np.append(start, offset.size))
-        return uniq, means
+        return idx[start], means
 
     def _distance(self, track: Track, stations: np.ndarray, offsets: np.ndarray) -> float:
         common = track.counts[stations] > 0

@@ -266,69 +266,44 @@ def _format_table(report: dict) -> str:
     return head + "\n" + body
 
 
-class _Unordered(Exception):
-    """Frame ids that do not strictly increase within one file."""
-
-
-def _ascending(lane_frames):
-    """Pass frames on, raising _Unordered at the first whose id does not exceed the last one's."""
+def _ascending(path, lane_frames):
+    """Pass frames on; raise SchemaError at the first whose id does not exceed the last one's."""
     last = None
     for frame in lane_frames:
         if last is not None and frame.frame_id <= last:
-            raise _Unordered
+            raise SchemaError(f"{path}: frame ids must strictly ascend for eval, "
+                              f"got {frame.frame_id} after {last}")
         last = frame.frame_id
         yield frame
 
 
 def _pairs_in_order(pred_path, gt_path):
-    """The pairs of `_pairs_by_id`, found by walking both files together.
+    """(prediction, ground truth) frames with the same id, walking both files together.
 
-    Holds one frame of each file at a time.  Raises _Unordered,
-    possibly after yielding pairs, when either file's ids do not
-    strictly increase; every frame of both files is read and checked.
+    Both files' ids must strictly ascend; a prediction frame with no
+    ground-truth frame of its id is skipped.  Holds one frame of each
+    file at a time, and every frame of both files is read and checked.
     """
     _, preds = frames.iter_lane_frames(pred_path)
     _, gts = frames.iter_lane_frames(gt_path)
-    gts = _ascending(gts)
+    gts = _ascending(gt_path, gts)
     gf = next(gts, None)
-    for pf in _ascending(preds):
+    for pf in _ascending(pred_path, preds):
         while gf is not None and gf.frame_id < pf.frame_id:
             gf = next(gts, None)
         if gf is not None and gf.frame_id == pf.frame_id:
             yield pf, gf
-    for _ in gts:  # ground truth past the last prediction is still checked, as by-id pairing does
+    for _ in gts:  # ground truth past the last prediction is still checked
         pass
-
-
-def _pairs_by_id(pred_path, gt_path):
-    """(prediction, ground truth) frames in prediction-file order, paired by frame id.
-
-    A prediction frame meets the last ground-truth frame with its id and
-    is skipped when there is none.  Holds both files in memory.
-    """
-    pred_frames, _ = frames.read_lane_frames(pred_path)
-    gt_frames, _ = frames.read_lane_frames(gt_path)
-    gt_by_id = {f.frame_id: f for f in gt_frames}
-    return [(pf, gt_by_id[pf.frame_id]) for pf in pred_frames if pf.frame_id in gt_by_id]
-
-
-def _accumulate(cfg: metrics.MatchConfig, pairs) -> metrics.EvalAccumulator:
-    acc = metrics.EvalAccumulator(cfg=cfg)
-    for pf, gf in pairs:
-        acc.add_frame([l.points for l in pf.lanes], [l.points for l in gf.lanes])
-    return acc
 
 
 def cmd_eval(args, config: dict) -> int:
     cfg = _config(metrics.MatchConfig, config, point_threshold="threshold",
                   match_fraction="match-fraction", y_min="y-min", y_max="y-max", y_step="y-step",
                   chamfer_threshold="chamfer-threshold")
-    try:
-        acc = _accumulate(cfg, _pairs_in_order(args.pred, args.gt))
-    except _Unordered:
-        # Start over, dropping the pairs added so far.  Same pairs, added in
-        # the same order, so the same report bytes.
-        acc = _accumulate(cfg, _pairs_by_id(args.pred, args.gt))
+    acc = metrics.EvalAccumulator(cfg=cfg)
+    for pf, gf in _pairs_in_order(args.pred, args.gt):
+        acc.add_frame([l.points for l in pf.lanes], [l.points for l in gf.lanes])
     report = acc.report()
     report["config"] = config
     if args.out:
@@ -367,13 +342,12 @@ def cmd_spline(args, config: dict) -> int:
     return 0
 
 
-def _canonical_lane_points(n_lanes: int, m_points: int, spacing: float = 3.5,
-                           y_start: float = 3.0, y_end: float = 103.0) -> np.ndarray:
-    """Straight parallel lane layout used for mask statistics."""
-    y = np.linspace(y_start, y_end, m_points)
+def _canonical_lane_points(n_lanes: int, m_points: int) -> np.ndarray:
+    """Straight parallel lanes 3.5 m apart over y in [3, 103] m, used for mask statistics."""
+    y = np.linspace(3.0, 103.0, m_points)
     pts = np.zeros((n_lanes, m_points, 4))
     for i in range(n_lanes):
-        pts[i, :, 0] = (i - (n_lanes - 1) / 2.0) * spacing
+        pts[i, :, 0] = (i - (n_lanes - 1) / 2.0) * 3.5
         pts[i, :, 1] = y
         pts[i, :, 3] = 1.0
     return pts

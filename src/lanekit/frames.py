@@ -26,9 +26,10 @@ step, so a caller that does not keep frames holds one frame in memory
 whatever the file's length.  `frame_id` is an int in both formats;
 `lanekit synth` writes ids in ascending order and `autolabel` and
 `spline` keep their input's order.  `lanekit eval` pairs prediction
-and ground-truth frames by id and, while both files' ids strictly
-ascend, walks them together in bounded memory (otherwise it pairs
-through a dict by id, with the same result).  Writers take iterables,
+and ground-truth frames by id and needs strictly ascending ids in both
+files: it walks them together, holding about one frame of each, and
+rejects an id that does not exceed the one before it.  These readers
+accept any order.  Writers take iterables,
 so they too hold one record at a time, and every writer writes
 `<path>.tmp` beside the target and renames it over the target only when
 the whole file is written: a failed write leaves neither a partial

@@ -15,7 +15,6 @@ from lanekit.attention import (
     positional_encoding,
     same_line_index,
     same_line_mask,
-    scale_to_range,
     sparsity_ratio,
     spatio_temporal_layer,
 )
@@ -435,21 +434,6 @@ class TestGatherAttention:
             gather_attention(q, q, q, np.zeros((4, 2), dtype=int), heads=3)
         with pytest.raises(ValueError):
             gather_attention(q, q[:, :4], q[:, :4], np.zeros((4, 2), dtype=int))
-
-
-class TestScaleToRange:
-    def test_zero_maps_to_midpoint(self):
-        assert scale_to_range(0.0, -10.0, 10.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_saturation(self):
-        assert scale_to_range(10.0, -10.0, 10.0) == pytest.approx(10.0, abs=1e-3)
-
-    def test_log_three_maps_to_three_quarters(self):
-        assert scale_to_range(np.log(3.0), 0.0, 4.0) == pytest.approx(3.0, abs=1e-12)
-
-    def test_invalid_range(self):
-        with pytest.raises(ValueError):
-            scale_to_range(0.0, 1.0, 1.0)
 
 
 class TestSparsity:

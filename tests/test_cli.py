@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lanekit import attention, cli, splines
+from lanekit import attention, cli, metrics, splines
 from lanekit.cli import main
 from lanekit.frames import (
     Lane,
@@ -95,46 +95,54 @@ def shifted(frame, frame_id, dx):
                      lanes=lanes, camera=frame.camera)
 
 
-def _unordered(*args):
-    raise cli._Unordered
-
-
-def _no_by_id_pairing(*args):
-    raise AssertionError("eval fell back to by-id pairing")
+def report_by_id(pred_path, gt_path):
+    """Reference pairing: each prediction frame meets the ground-truth frame of its id,
+    in prediction-file order, through a dict by id."""
+    gt_by_id = {f.frame_id: f for f in read_lane_frames(gt_path)[0]}
+    acc = metrics.EvalAccumulator()
+    for pf in read_lane_frames(pred_path)[0]:
+        if pf.frame_id in gt_by_id:
+            acc.add_frame([l.points for l in pf.lanes], [l.points for l in gt_by_id[pf.frame_id].lanes])
+    return acc.report()
 
 
 class TestEvalPairing:
-    """`eval` walks both files in id order where it can and otherwise pairs through
-    a dict by id; either way report.json is the by-id pairing's, byte for byte."""
+    """`eval` walks both files in id order; ids that do not strictly ascend exit 2."""
 
     # Ground-truth frame i is moved 2.0 i m sideways and prediction frame i 2.1 i m,
     # so a prediction paired with another frame's ground truth is off by 2 m or more.
-    @pytest.mark.parametrize("pred_ids, gt_ids, walks", [
-        ([0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5], True),
-        ([0, 1, 3, 7], [0, 1, 2, 3, 4, 5], True),
-        ([3, 0, 5, 1, 4, 2], [0, 1, 2, 3, 4, 5], False),
-        ([0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 3, 4, 5], False),
-    ], ids=["ascending", "pred-id-missing-from-gt", "shuffled-pred", "duplicate-gt-id"])
-    def test_report_equals_by_id_pairing(self, tmp_path, monkeypatch, capsys, pred_ids, gt_ids, walks):
+    def write_pair(self, tmp_path, pred_ids, gt_ids):
         run_synth(tmp_path, frames=8)
         base, _ = read_lane_frames(tmp_path / "scene.gt.jsonl")
-        gt = [shifted(base[i], i, 2.0 * i) for i in gt_ids]
-        if len(set(gt_ids)) < len(gt_ids):
-            gt[gt_ids.index(3)] = shifted(base[3], 3, 50.0)  # the later frame with id 3 wins
         write_lane_frames(tmp_path / "pred.jsonl", [shifted(base[i], i, 2.1 * i) for i in pred_ids])
-        write_lane_frames(tmp_path / "gt.jsonl", gt)
-        argv = ["eval", "--pred", str(tmp_path / "pred.jsonl"), "--gt", str(tmp_path / "gt.jsonl"), "--out"]
+        write_lane_frames(tmp_path / "gt.jsonl", [shifted(base[i], i, 2.0 * i) for i in gt_ids])
+        return len(base[0].lanes), ["eval", "--pred", str(tmp_path / "pred.jsonl"),
+                                    "--gt", str(tmp_path / "gt.jsonl"), "--out", str(tmp_path / "report.json")]
 
-        with monkeypatch.context() as patch:
-            patch.setattr(cli, "_pairs_in_order", _unordered)
-            assert main(argv + [str(tmp_path / "oracle.json")]) == 0
-        if walks:
-            monkeypatch.setattr(cli, "_pairs_by_id", _no_by_id_pairing)
-        assert main(argv + [str(tmp_path / "report.json")]) == 0
-        report = (tmp_path / "report.json").read_bytes()
-        assert report == (tmp_path / "oracle.json").read_bytes()
-        lanes = len(base[0].lanes)
-        assert json.loads(report)["tp"] == lanes * len(set(pred_ids) & set(gt_ids))
+    @pytest.mark.parametrize("pred_ids, gt_ids", [
+        ([0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5]),
+        ([0, 1, 3, 7], [0, 1, 2, 3, 4, 5]),
+    ], ids=["ascending", "pred-id-missing-from-gt"])
+    def test_report_equals_by_id_pairing(self, tmp_path, capsys, pred_ids, gt_ids):
+        lanes, argv = self.write_pair(tmp_path, pred_ids, gt_ids)
+        assert main(argv) == 0
+        report = json.loads((tmp_path / "report.json").read_bytes())
+        del report["schema_version"], report["config"]
+        assert report == report_by_id(tmp_path / "pred.jsonl", tmp_path / "gt.jsonl")
+        assert report["tp"] == lanes * len(set(pred_ids) & set(gt_ids))
+
+    @pytest.mark.parametrize("pred_ids, gt_ids, bad, got", [
+        ([3, 0, 5, 1, 4, 2], [0, 1, 2, 3, 4, 5], "pred", "0 after 3"),
+        ([0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 3, 4, 5], "gt", "3 after 3"),
+        ([0, 1, 2], [0, 1, 2, 3, 5, 4], "gt", "4 after 5"),
+    ], ids=["shuffled-pred", "duplicate-gt-id", "gt-unordered-after-last-pred"])
+    def test_unordered_ids_exit_2(self, tmp_path, capsys, pred_ids, gt_ids, bad, got):
+        _, argv = self.write_pair(tmp_path, pred_ids, gt_ids)
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == (
+            f"{tmp_path / (bad + '.jsonl')}: frame ids must strictly ascend for eval, got {got}")
+        assert not (tmp_path / "report.json").exists()
+        assert not (tmp_path / "report.json.tmp").exists()
 
 
 @pytest.mark.parametrize("argv", [
