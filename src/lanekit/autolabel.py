@@ -373,15 +373,15 @@ def lift_detections(detections, cam: CameraModel, pose: EgoPose, surf: SurfaceMo
     with np.errstate(invalid="ignore"):  # inf * 0: a ray without a bound, where facing + slack is 0
         facing *= t_max * (1.0 + 1e-9) + 1e-6
     cast = np.flatnonzero((facing >= np.abs(numer)).any(axis=0))
-    hits = np.full(dirs_w.shape, np.nan)
-    hits[cast] = _intersect_rays(surf, origin_w, dirs_w[cast], window)
-    good = ~np.isnan(hits).any(axis=1)
-    local = apply_transform(pose.inverse_matrix(), np.where(good[:, None], hits, 0.0))
-    good &= local[:, 1] <= near_range
-    good &= local[:, 1] > 0.0
-    bounds = np.cumsum(counts)[:-1]
-    return [(h[g], category) for h, g, (_, category)
-            in zip(np.split(hits, bounds), np.split(good, bounds), detections)]
+    hits = _intersect_rays(surf, origin_w, dirs_w[cast], window)
+    found = ~np.isnan(hits).any(axis=1)
+    cast, hits = cast[found], hits[found]
+    ahead = apply_transform(pose.inverse_matrix(), hits)[:, 1]
+    kept = (ahead <= near_range) & (ahead > 0.0)
+    # kept ray indices ascend, so each detection's hits are one run of rows
+    bounds = np.searchsorted(cast[kept], np.cumsum(counts)[:-1])
+    return [(points, category) for points, (_, category)
+            in zip(np.split(hits[kept], bounds), detections)]
 
 
 @dataclass

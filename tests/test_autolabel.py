@@ -674,6 +674,25 @@ class TestPerRayBound:
         # no bound on t: every ray with a hit is intersected, kept or not
         assert rows[0] >= (~np.isnan(hits[:, 0])).sum() > sum(len(w) for w, _ in want)
 
+    def test_kept_rows_split_back_to_their_detections(self):
+        """Only cast rays reach the tail; empty detections and ones with no kept
+        point, first, last and between others, still get their own (0, 3) entry."""
+        traj = hairpin_trajectory(drop=0.1)
+        surf = build_surface(traj)
+        cam = camera("level")
+        grid = pixel_grid(cam)
+        sky = np.column_stack([np.linspace(0.0, cam.width, 7), np.zeros(7)])  # above the horizon
+        empty = np.zeros((0, 2))
+        detections = [(empty, 0), grid[0], (sky, 4), grid[2], (empty, 5), (sky, 6)]
+        pose = traj.poses[20]
+        got = lift_detections(detections, cam, pose, surf, near_range=25.0)
+        want = full_scan_lift(detections, cam, pose, surf, near_range=25.0)
+        assert [c for _, c in got] == [0, 1, 4, 3, 5, 6]
+        assert [len(g) > 0 for g, _ in got] == [False, True, False, True, False, False]
+        for (g, _), (w, _) in zip(got, want):
+            assert g.shape[1:] == (3,)
+            np.testing.assert_array_equal(g, w)
+
     def test_intersected_rays_yield_kept_points(self, rows):
         world = synth.gen_scene(synth.SceneSpec(num_lanes=3, frames=20, seed=7, lane_length=300.0,
                                                 curvature=(0.0, 0.0, 5e-4), elevation=(0.0, 0.05)))

@@ -127,6 +127,46 @@ class TestBasis:
         assert np.array_equal(basis_matrix(6, [0.0]).matrix, expected)
         assert _basis.cache_info().misses == misses + 1  # rebuilt after eviction
 
+    # The five repeated grids of a process: the dense grid at orders 0-2, the
+    # moving-average grid and the neighbour-tangent grid (see `splines._basis`).
+    GRIDS = [(np.linspace(0.0, 1.0, 100), 0), (np.linspace(0.0, 1.0, 100), 1),
+             (np.linspace(0.0, 1.0, 100), 2), (np.linspace(0.0, 1.0, 51), 0),
+             (np.linspace(0.0, 1.0, 20), 1)]
+
+    @staticmethod
+    def _targets(rng, count):
+        return [np.sort(rng.uniform(0.0, 1.0, 60)) for _ in range(count)]
+
+    def test_cache_keeps_grids_across_frames_at_five_targets(self):
+        """A detector step's lookup order: between two frames' lookups of a grid
+        come both frames' targets and the other grids, 2T + 4 keys."""
+        from lanekit.splines import _basis
+
+        dense, ema, tangent = self.GRIDS[:3], self.GRIDS[3], self.GRIDS[4]
+        rng = np.random.default_rng(0)
+        _basis.cache_clear()
+        for _ in range(30):
+            targets = [(args, 0) for args in self._targets(rng, 5)]
+            # fit, attention, assign_proposals, spatial and temporal terms, regression, visibility, EMA
+            for args, order in [*targets, tangent, *targets, *dense, ema, *targets, *targets, ema]:
+                basis_matrix(20, args, order=order)
+        assert _basis.cache_info().misses == len(self.GRIDS) + 30 * 5  # nothing rebuilt
+
+    def test_cache_keeps_target_hits_within_a_frame_at_eleven_targets(self):
+        """Between a target's fit and its last loss lookup come the other
+        targets and the five grids, 5 + (T - 1) keys."""
+        from lanekit.splines import _basis
+
+        rng = np.random.default_rng(1)
+        for args, order in self.GRIDS:  # looked up by the previous frame
+            basis_matrix(20, args, order=order)
+        misses = _basis.cache_info().misses
+        targets = [(args, 0) for args in self._targets(rng, 11)]
+        # fit, the grids, assign_proposals, regression_loss, visibility_loss
+        for args, order in [*targets, *self.GRIDS, *targets, *targets, *targets]:
+            basis_matrix(20, args, order=order)
+        assert _basis.cache_info().misses == misses + 11  # nothing rebuilt
+
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_scatter_fold_bit_for_bit(self, seed):
         rng = np.random.default_rng(seed)
