@@ -21,6 +21,8 @@ import math
 
 import numpy as np
 
+INADMISSIBLE = 1e9  # above any sum of admissible costs
+
 
 def linear_sum_assignment(cost_matrix) -> tuple[np.ndarray, np.ndarray]:
     """(rows, cols) of a minimum-cost assignment of a 2-D cost matrix.
@@ -99,3 +101,16 @@ def linear_sum_assignment(cost_matrix) -> tuple[np.ndarray, np.ndarray]:
         order = sorted(range(nr), key=col4row.__getitem__)
         return np.array([col4row[k] for k in order], dtype=np.intp), np.array(order, dtype=np.intp)
     return np.arange(nr, dtype=np.intp), np.array(col4row, dtype=np.intp)
+
+
+def gated_assignment(cost, admissible) -> tuple[np.ndarray, np.ndarray]:
+    """The admissible (rows, cols) of a minimum-cost assignment, rows ascending.
+
+    This is the gated rule of every lane association: the auto-label
+    tracker, the moving average and both eval scores.  Pairs where the
+    boolean matrix `admissible` is false cost `INADMISSIBLE`, so as many
+    admissible pairs as possible are kept, then the least summed cost.
+    """
+    rows, cols = linear_sum_assignment(np.where(admissible, cost, INADMISSIBLE))
+    kept = admissible[rows, cols]
+    return rows[kept], cols[kept]

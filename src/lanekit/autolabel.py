@@ -67,6 +67,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .assignment import gated_assignment
 from .temporal import EgoPose, apply_transform, rigid_inverse
 
 _PARALLEL_EPS = 1e-12
@@ -411,9 +412,9 @@ class LineTracker:
 
     Lines are static, so the motion model is identity with a small
     process noise; each observed station runs an independent scalar
-    filter on the lateral offset.  New observation groups that cannot be
-    associated within the lateral gate spawn new tracks immediately; a
-    track counts as mature once it has been associated `min_hits` times.
+    filter on the lateral offset.  Lines that the gated assignment leaves
+    unmatched spawn new tracks immediately; a track counts as mature once
+    it has been associated `min_hits` times.
     """
 
     def __init__(self, surf: SurfaceModel, station_spacing: float = 2.0, gate: float = 1.0,
@@ -443,48 +444,47 @@ class LineTracker:
 
     def _distance(self, track: Track, stations: np.ndarray, offsets: np.ndarray) -> float:
         common = track.counts[stations] > 0
-        if not common.any():
+        count = np.count_nonzero(common)
+        if not count:
             return np.inf
-        return float(np.mean(np.abs(offsets[common] - track.offsets[stations[common]])))
+        # the sum and the division np.mean makes, without its per-call overhead
+        return float(np.abs(offsets[common] - track.offsets[stations[common]]).sum() / count)
 
     def step(self, lines) -> list[int]:
         """Associate and filter one frame's lifted lines; returns the track id per line.
 
         All lines are located in one `SurfaceModel.locate` call (see the
-        module docstring), then associated one by one in input order.
+        module docstring).  Lines join tracks by `gated_assignment` over
+        every (line, track) distance, admissible below the gate; unmatched
+        non-empty lines spawn tracks in input order, and empty lines get -1.
         """
         lines = [(np.asarray(points, dtype=float), category) for points, category in lines]
-        observed = [points for points, _ in lines if points.shape[0]]
-        if observed:
-            bounds = np.cumsum([len(points) for points in observed])[:-1]
-            lam, offset = self.surf.locate(np.concatenate(observed))
-            located = zip(np.split(lam, bounds), np.split(offset, bounds))
-        assignments = []
-        claimed = set()
-        for points_world, category in lines:
-            if points_world.shape[0] == 0:
-                assignments.append(-1)
-                continue
-            stations, offsets = self._station_measurements(*next(located))
-            best, best_dist = None, self.gate
-            for track in self.tracks:
-                if track.track_id in claimed:
-                    continue
-                dist = self._distance(track, stations, offsets)
-                if dist < best_dist:
-                    best, best_dist = track, dist
-            if best is None:
-                best = Track(
+        observed = [k for k, (points, _) in enumerate(lines) if points.shape[0]]
+        assignments = [-1] * len(lines)
+        if not observed:
+            return assignments
+        bounds = np.cumsum([len(lines[k][0]) for k in observed])[:-1]
+        lam, offset = self.surf.locate(np.concatenate([lines[k][0] for k in observed]))
+        measured = [self._station_measurements(*located)
+                    for located in zip(np.split(lam, bounds), np.split(offset, bounds))]
+        dist = np.array([[self._distance(track, *m) for track in self.tracks] for m in measured])
+        dist = dist.reshape(len(measured), len(self.tracks))
+        rows, cols = gated_assignment(dist, dist < self.gate)
+        joined = dict(zip(rows.tolist(), cols.tolist()))
+        for row, k in enumerate(observed):
+            if row in joined:
+                track = self.tracks[joined[row]]
+            else:
+                track = Track(
                     track_id=self._next_id,
                     offsets=np.full(self.stations.size, np.nan),
                     variances=np.full(self.stations.size, np.inf),
                     counts=np.zeros(self.stations.size, dtype=int),
                 )
                 self._next_id += 1
-                self.tracks.append(best)
-            claimed.add(best.track_id)
-            self._update(best, stations, offsets, category)
-            assignments.append(best.track_id)
+                self.tracks.append(track)
+            self._update(track, *measured[row], lines[k][1])
+            assignments[k] = track.track_id
         return assignments
 
     def _update(self, track: Track, stations: np.ndarray, offsets: np.ndarray, category):

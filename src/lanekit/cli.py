@@ -104,7 +104,7 @@ OPTIONS = {
         # neighbour tangents come from a cubic spline basis over each lane's points
         "points": (frames._int, 20, 4),
         "history": (frames._int, 0, 0, "memory frames (0 disables memory)"),
-        "keep": (frames._int, 10, 0, "lanes kept per memory frame"),
+        "keep": (frames._int, 10, 0, "lanes kept per memory frame, at most --lanes"),
         "k-nearest": (frames._int, 10, 0),
         "seed": (frames._int, 0, 0),
     },
@@ -360,7 +360,7 @@ def cmd_masks(args, config: dict) -> int:
     pts = _canonical_lane_points(n, m)
     same_degree = attention.same_line_index(n, m).shape[1]
     neighbor_degree = attention.neighbor_line_index(pts).shape[1]
-    memory_entries = history * keep * m
+    memory_entries = history * min(keep, n) * m  # as MemoryQueue.push_frame keeps them
     report = {
         "lanes": n,
         "points": m,

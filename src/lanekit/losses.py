@@ -10,8 +10,8 @@ moving average of past predictions carried along with the ego motion.
 Proposals are sampled at a target's y positions through one basis,
 built once per target and call; the assignment costs every proposal
 against a target in one (samples, m) @ (proposals, m, 4) product.
-Assignments, here and in the tracker's frame-to-frame association,
-are solved by `lanekit.assignment`.
+Assignments are solved by `lanekit.assignment`; the tracker's
+frame-to-frame association uses its gated rule, `gated_assignment`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .assignment import linear_sum_assignment
+from .assignment import gated_assignment, linear_sum_assignment
 from .splines import CurveConfig, arg_for_y, basis_matrix
 from .temporal import EgoPose, apply_transform, relative_transform
 
@@ -343,7 +343,8 @@ def _propagate_state_grid(state: EmaState, pose: EgoPose):
 
     Every lane's (x, y, z) samples move under one rigid transform.
     Returns (x, z, v, valid) with `valid` marking grid points covered by
-    the propagated span.
+    the propagated span of the samples with v > 0; a coasting lane stores
+    v = 0 where it is uncovered, so its span shrinks as the ego drives on.
     """
     grid = state.y_grid
     xyz = np.stack([state.x, np.broadcast_to(grid, state.x.shape), state.z], axis=-1)
@@ -351,7 +352,9 @@ def _propagate_state_grid(state: EmaState, pose: EgoPose):
     order = np.argsort(moved[..., 1], axis=1, kind="stable")
     moved = np.take_along_axis(moved, order[..., None], axis=1)
     ys, vs = moved[..., 1], np.take_along_axis(state.v, order, axis=1)
-    valid = (grid >= ys[:, :1]) & (grid <= ys[:, -1:])
+    seen = vs > 0
+    valid = ((grid >= np.where(seen, ys, np.inf).min(axis=1, keepdims=True))
+             & (grid <= np.where(seen, ys, -np.inf).max(axis=1, keepdims=True)))
     x, z, v = np.zeros_like(ys), np.zeros_like(ys), np.zeros_like(ys)
     for i in np.flatnonzero(valid.any(axis=1)):
         ok = valid[i]
@@ -388,13 +391,14 @@ class EmaTracker:
     """Book-keeping around the moving average: association, loss, update.
 
     Each step propagates the tracked curves into the new ego frame,
-    associates them with the incoming lanes by a gated minimum-cost
-    assignment, reports the temporal-consistency loss of the matched
-    lanes against the propagated average, and only then blends the new
-    prediction in: alpha * current + (1 - alpha) * propagated average,
-    per grid point the average still covers, else the current value.
-    Unmatched incoming lanes start new tracks; unmatched tracks coast on
-    the propagated geometry.
+    associates them with the incoming lanes by `gated_assignment`, pairs
+    at or below the gate admissible, reports the temporal-consistency
+    loss of the matched lanes against the propagated average, and only
+    then blends the new prediction in: alpha * current + (1 - alpha) *
+    propagated average, per grid point the average still covers, else the
+    current value.  Unmatched incoming lanes start new tracks; unmatched
+    tracks coast on the propagated geometry, with v = 0 where it no longer
+    covers the grid, and are dropped once it covers no grid point.
     """
 
     def __init__(self, y_grid, alpha: float = 0.5, gate: float = 1.0):
@@ -420,20 +424,15 @@ class EmaTracker:
             return 0.0
 
         px, pz, pv, valid = _propagate_state_grid(self.state, pose)
-        n_trk = px.shape[0]
         # Mean (x, z) gap over each track's valid grid points; a track with
         # no valid point is at infinite distance from every lane.
         gap = np.hypot(px[:, None] - cur_x[None], pz[:, None] - cur_z[None])
         covered = valid.sum(axis=1)[:, None]
-        dist = np.full((n_trk, n_cur), np.inf)
+        dist = np.full((px.shape[0], n_cur), np.inf)
         np.divide(np.where(valid[:, None], gap, 0.0).sum(axis=2), covered, out=dist, where=covered > 0)
-        finite = np.where(np.isfinite(dist), dist, self.gate * 1e6)
-        rows, cols = linear_sum_assignment(finite)
-        kept = dist[rows, cols] <= self.gate
-        t, c = rows[kept], cols[kept]
+        t, c = gated_assignment(dist, dist <= self.gate)
         # pairs first, then coasting tracks that still cover the grid, then new lanes
-        coast = np.setdiff1d(np.arange(n_trk), t)
-        coast = coast[valid[coast].any(axis=1)]
+        coast = np.setdiff1d(np.flatnonzero(valid.any(axis=1)), t)
         fresh = np.setdiff1d(np.arange(n_cur), c)
 
         weight = np.where(valid, pv, 0.0)

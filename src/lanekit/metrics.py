@@ -1,12 +1,12 @@
 """Lane detection metrics: grid-matched F1, binned x/z errors, visibility
 IoU, and chamfer-distance precision/recall.
 
-Lanes are resampled on a uniform longitudinal grid over their visible
-extent.  A prediction and a target match pointwise where their (x, z)
-distance stays below the point threshold; a pair is admissible when
-enough of the co-visible grid points match, and a minimum-cost
-one-to-one assignment over admissible pairs (`lanekit.assignment`)
-yields the true positives.
+Both scores pair a frame's lanes one-to-one by the gated assignment
+`lanekit.assignment.gated_assignment`, and its pairs are the true
+positives.  Lanes are resampled on a uniform longitudinal grid over their
+visible extent.  A prediction and a target match pointwise where their
+(x, z) distance stays below the point threshold, and a pair is admissible
+when enough of the co-visible grid points match.
 A frame's lanes are compared as arrays, every (target, prediction) pair
 at once.  A range bin's x/z error is the sum of |dx| or |dz| over the
 matched pairs' co-visible grid points in the bin, over all frames,
@@ -15,9 +15,9 @@ divided by the number of those points.
 The chamfer variant skips the grid and scores the lane samples directly.
 It is point-to-point: a pair's distance is the mean, over every target
 sample, of the 3D distance to the nearest predicted sample, with
-visibility ignored, and only a distance below the chamfer threshold (tau)
-counts as a match.  It is computed exactly in squared form, taking one
-square root per target sample rather than one per pair.
+visibility ignored, and a pair is admissible when this distance is below
+the chamfer threshold (tau).  It is computed exactly in squared form,
+taking one square root per target sample rather than one per pair.
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .assignment import linear_sum_assignment
-
-_INADMISSIBLE = 1e9
+from .assignment import gated_assignment
 
 
 @dataclass(frozen=True)
@@ -139,19 +137,18 @@ def match_lanes(pred_lanes, gt_lanes, cfg: MatchConfig) -> FrameMatch:
     # Mean distance over co-visible points.  Pairs with one count are reduced
     # together, a row each, which sums as a pair's own `dist[both].mean()` does:
     # the costs stay bit-equal, so exactly tied assignments resolve as before.
-    cost = np.full(n_both.shape, _INADMISSIBLE)
+    cost = np.zeros(n_both.shape)
     for count in np.unique(n_both[admissible]):
         same = admissible & (n_both == count)
         cost[same] = dist[same][both[same]].reshape(-1, count).mean(axis=1)
     iou = n_both / (gvis[:, None] | pvis[None]).sum(axis=2)
 
     pairs = []
-    for gi, pi in zip(*linear_sum_assignment(cost)):
-        if cost[gi, pi] < _INADMISSIBLE:
-            on = both[gi, pi]
-            pairs.append(MatchedPair(pred_index=pred_ids[pi], gt_index=gt_ids[gi],
-                                     abs_dx=np.abs(dx[gi, pi, on]), abs_dz=np.abs(dz[gi, pi, on]),
-                                     grid_y=grid[on], iou=float(iou[gi, pi])))
+    for gi, pi in zip(*gated_assignment(cost, admissible)):
+        on = both[gi, pi]
+        pairs.append(MatchedPair(pred_index=pred_ids[pi], gt_index=gt_ids[gi],
+                                 abs_dx=np.abs(dx[gi, pi, on]), abs_dz=np.abs(dz[gi, pi, on]),
+                                 grid_y=grid[on], iou=float(iou[gi, pi])))
     tp = len(pairs)
     return FrameMatch(pairs, tp, len(pred_ids) - tp, len(gt_ids) - tp)
 
@@ -196,23 +193,11 @@ def unilateral_chamfer(gt_points: np.ndarray, pred_points: np.ndarray) -> float:
 
 
 def _chamfer_matches(pred_lanes, gt_lanes, tau: float) -> list[float]:
-    """Greedy one-to-one matching by ascending chamfer distance; returns matched distances."""
-    candidates = []
-    for gi, gt in enumerate(gt_lanes):
-        for pi, pred in enumerate(pred_lanes):
-            cd = unilateral_chamfer(gt, pred)
-            if cd < tau:
-                candidates.append((cd, gi, pi))
-    candidates.sort()
-    used_gt, used_pred = set(), set()
-    distances = []
-    for cd, gi, pi in candidates:
-        if gi in used_gt or pi in used_pred:
-            continue
-        used_gt.add(gi)
-        used_pred.add(pi)
-        distances.append(cd)
-    return distances
+    """Gated one-to-one matching on chamfer distances below tau; returns the
+    matched distances in ascending order, the order in which they are summed."""
+    cd = np.array([[unilateral_chamfer(gt, pred) for pred in pred_lanes] for gt in gt_lanes])
+    cd = cd.reshape(len(gt_lanes), len(pred_lanes))
+    return sorted(cd[gated_assignment(cd, cd < tau)].tolist())
 
 
 @dataclass

@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment as scipy_assignment
 
 import lanekit
-from lanekit.assignment import linear_sum_assignment
+from lanekit.assignment import INADMISSIBLE, gated_assignment, linear_sum_assignment
 
 # 4 targets x 20 proposals and 20 tracks x 20 lanes are the detector's two solves
 DETECTOR_SHAPES = [(4, 20), (20, 20), (20, 4)]
@@ -101,6 +101,27 @@ def test_tall_matrix_rows_come_out_ascending():
 def test_not_a_matrix_raises():
     with pytest.raises(ValueError, match="2-D"):
         linear_sum_assignment(np.zeros(3))
+
+
+def test_gate_before_solving_keeps_more_pairs():
+    cost = np.array([[0.0, 1.0], [1.0, 1.5]])
+    rows, cols = gated_assignment(cost, cost <= 1.0)
+    assert list(zip(rows.tolist(), cols.tolist())) == [(0, 1), (1, 0)]
+    # solving the raw costs, then dropping pairs outside the gate, keeps only (0, 0)
+    rows, cols = linear_sum_assignment(cost)
+    assert [(r, c) for r, c in zip(rows.tolist(), cols.tolist()) if cost[r, c] <= 1.0] == [(0, 0)]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(cost=arrays(float, st.tuples(st.integers(0, 7), st.integers(0, 7)), elements=UNIT),
+       gate=UNIT)
+def test_gated_equals_scipy_on_the_penalised_matrix(cost, gate):
+    rows, cols = gated_assignment(cost, cost <= gate)
+    want_rows, want_cols = scipy_assignment(np.where(cost <= gate, cost, INADMISSIBLE))
+    kept = cost[want_rows, want_cols] <= gate
+    assert rows.dtype == cols.dtype == np.intp
+    assert rows.tolist() == want_rows[kept].tolist()
+    assert cols.tolist() == want_cols[kept].tolist()
 
 
 def test_cli_import_loads_no_scipy():

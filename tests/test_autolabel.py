@@ -283,6 +283,16 @@ class TestLineTracker:
         ids2 = tracker.step([(self._observed_line(0.0), 1), (self._observed_line(3.5), 1)])
         assert ids2 == ids
 
+    @pytest.mark.parametrize("order", [(0.6, 0.1), (0.1, 0.6)])
+    def test_contested_track_goes_to_the_line_without_another(self, order):
+        # the 0.6 m line is nearer the 0 m track, but the 0.1 m line has no other track in its gate
+        surf = build_surface(straight_trajectory(n=30, step=2.0))
+        tracker = LineTracker(surf, gate=1.0)
+        assert tracker.step([(self._observed_line(0.0), 1), (self._observed_line(1.5), 1)]) == [0, 1]
+        ids = tracker.step([(self._observed_line(x), 1) for x in order])
+        assert dict(zip(order, ids)) == {0.1: 0, 0.6: 1}
+        assert len(tracker.tracks) == 2
+
     def test_kalman_converges_like_reference_filter(self):
         surf = build_surface(straight_trajectory(n=30, step=2.0))
         meas_var, proc_var = 0.01, 1e-6

@@ -3,6 +3,7 @@ import re
 import shlex
 import shutil
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from lanekit.frames import (
     write_lane_frames,
 )
 from lanekit.losses import LossWeights
+from lanekit.temporal import EgoPose, MemoryQueue
 
 
 def run_synth(tmp_path, prefix="scene", frames=30, extra=()):
@@ -364,6 +366,19 @@ class TestMasksCommand:
         monkeypatch.setattr(attention, "index_to_mask", no_dense_mask)
         assert main(["masks", *argv]) == 0
         assert capsys.readouterr().out == line + "\n"
+
+    @pytest.mark.parametrize("keep", [2, 4, 10])
+    def test_memory_entries_count_what_the_queue_holds(self, capsys, keep):
+        lanes, points, history = 4, 20, 3
+        assert main(["masks", "--lanes", str(lanes), "--points", str(points),
+                     "--history", str(history), "--keep", str(keep)]) == 0
+        queue = MemoryQueue(capacity=history)
+        for frame in range(history):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # keep above the lane count warns and keeps every lane
+                queue.push_frame(np.zeros((lanes, points, 4)), np.zeros((lanes, points, 8)),
+                                 np.arange(lanes, dtype=float), EgoPose.identity(), frame, keep=keep)
+        assert json.loads(capsys.readouterr().out)["memory_entries"] == queue.entry_count
 
     @pytest.mark.parametrize("history, keep", [(-1, -1), (-1, 10), (3, -1)])
     def test_negative_history_or_keep_rejected(self, capsys, history, keep):

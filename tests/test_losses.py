@@ -510,6 +510,21 @@ class TestEmaTracker:
             noisy_total += for_noisy.step(wobble, z, v, pose)
         assert noisy_total > clean_total
 
+    @pytest.mark.parametrize("travel", [1.0, 4.0, 7.0])
+    def test_unfed_lane_leaves_the_state_as_it_leaves_the_grid(self, travel):
+        tracker = EmaTracker(self.GRID, alpha=0.5)
+        both = np.array([[-1.75], [1.75]]) @ np.ones((1, self.GRID.size))
+        tracker.step(both, np.zeros_like(both), np.ones_like(both), EgoPose.identity())
+        unfed, fed = tracker.state.lane_ids.tolist()
+        one = both[1:]
+        present = []
+        for f in range(1, int(np.ceil((self.GRID[-1] - self.GRID[0]) / travel)) + 2):
+            pose = EgoPose.from_parts(np.eye(3), [0.0, travel * f, 0.0])
+            tracker.step(one, np.zeros_like(one), np.ones_like(one), pose)
+            present.append(unfed in tracker.state.lane_ids)
+        assert present[0]  # it coasts while some of the grid is still covered
+        assert tracker.state.lane_ids.tolist() == [fed]
+
 
 def loop_propagate(state, pose):
     """The state's lanes carried into `pose` one at a time, then re-interpolated onto the grid."""
@@ -522,7 +537,7 @@ def loop_propagate(state, pose):
                                  state.pose, pose)
         order = np.argsort(moved[:, 1], kind="stable")
         ys = moved[order, 1]
-        ok = (grid >= ys[0]) & (grid <= ys[-1])
+        ok = (grid >= ys[moved[order, 3] > 0].min(initial=np.inf)) & (grid <= ys[moved[order, 3] > 0].max(initial=-np.inf))
         valid[i] = ok
         if ok.any():
             x[i, ok] = np.interp(grid[ok], ys, moved[order, 0])
@@ -549,7 +564,7 @@ def loop_tracker_step(tracker, cur_x, cur_z, cur_v, pose):
             if not ok.any():
                 continue
             dist[t, c] = np.hypot(px[t, ok] - cur_x[c, ok], pz[t, ok] - cur_z[c, ok]).mean()
-    rows, cols = linear_sum_assignment(np.where(np.isfinite(dist), dist, tracker.gate * 1e6))
+    rows, cols = linear_sum_assignment(np.where(dist <= tracker.gate, dist, 1e9))
     pairs = [(t, c) for t, c in zip(rows, cols) if dist[t, c] <= tracker.gate]
     loss = 0.0
     for t, c in pairs:

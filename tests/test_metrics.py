@@ -346,6 +346,17 @@ class TestChamfer:
         assert report["mean_cd"] == pytest.approx(0.05, abs=1e-9)
 
 
+    @pytest.mark.parametrize("reverse_preds", [False, True])
+    @pytest.mark.parametrize("reverse_gts", [False, True])
+    def test_contested_prediction_keeps_both_pairs(self, reverse_gts, reverse_preds):
+        # the closest pair (0.05) would take the only prediction that the -0.05 m target reaches
+        gts, preds = [lane(0.0), lane(-0.05)], [lane(0.05), lane(0.19)]
+        acc = EvalAccumulator(cfg=MatchConfig(chamfer_threshold=0.2))
+        acc.add_frame(preds[::-1] if reverse_preds else preds, gts[::-1] if reverse_gts else gts)
+        assert acc.chamfer_tp == 2
+        assert acc.report()["chamfer"]["mean_cd"] == pytest.approx((0.1 + 0.19) / 2, abs=1e-9)
+
+
 def norm_chamfer(gt_points, pred_points):
     """Reference kernel: the (G, P, 3) difference array and one norm per pair."""
     gt = np.asarray(gt_points, dtype=float)[:, :3]
