@@ -114,3 +114,17 @@ def gated_assignment(cost, admissible) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = linear_sum_assignment(np.where(admissible, cost, INADMISSIBLE))
     kept = admissible[rows, cols]
     return rows[kept], cols[kept]
+
+
+def masked_mean(values, mask) -> np.ndarray:
+    """Mean of `values` over `mask` on the last axis, inf where the mask is empty.
+
+    The cost of every lane association.  Rows of one count are summed together, a
+    row each, so each mean is `values[row][mask[row]].sum() / count` bit for bit.
+    """
+    counts = np.count_nonzero(mask, axis=-1)
+    means = np.full(counts.shape, np.inf)
+    for count in set(counts[counts > 0].tolist()):
+        same = counts == count
+        means[same] = values[same][mask[same]].reshape(-1, count).sum(axis=1) / count
+    return means

@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assignment import gated_assignment
+from .assignment import gated_assignment, masked_mean
 from .temporal import EgoPose, apply_transform, rigid_inverse
 
 _PARALLEL_EPS = 1e-12
@@ -434,7 +434,7 @@ class LineTracker:
         self._next_id = 0
 
     def _station_measurements(self, lam: np.ndarray, offset: np.ndarray):
-        """Bin one line's located points to stations; returns (station indices, mean offsets)."""
+        """Bin one line's located points to stations; returns (ascending station indices, mean offsets)."""
         idx = np.clip(np.round(lam / self.spacing).astype(int), 0, self.stations.size - 1)
         order = np.argsort(idx, kind="stable")
         idx, offset = idx[order], offset[order]
@@ -442,21 +442,15 @@ class LineTracker:
         means = np.add.reduceat(offset, start) / np.diff(np.append(start, offset.size))
         return idx[start], means
 
-    def _distance(self, track: Track, stations: np.ndarray, offsets: np.ndarray) -> float:
-        common = track.counts[stations] > 0
-        count = np.count_nonzero(common)
-        if not count:
-            return np.inf
-        # the sum and the division np.mean makes, without its per-call overhead
-        return float(np.abs(offsets[common] - track.offsets[stations[common]]).sum() / count)
-
     def step(self, lines) -> list[int]:
         """Associate and filter one frame's lifted lines; returns the track id per line.
 
         All lines are located in one `SurfaceModel.locate` call (see the
-        module docstring).  Lines join tracks by `gated_assignment` over
-        every (line, track) distance, admissible below the gate; unmatched
-        non-empty lines spawn tracks in input order, and empty lines get -1.
+        module docstring).  A (line, track) distance is the `masked_mean`
+        of the absolute offset gaps over the stations both hold, inf where
+        they share none.  Lines join tracks by `gated_assignment` over
+        these distances, admissible below the gate; unmatched non-empty
+        lines spawn tracks in input order, and empty lines get -1.
         """
         lines = [(np.asarray(points, dtype=float), category) for points, category in lines]
         observed = [k for k, (points, _) in enumerate(lines) if points.shape[0]]
@@ -467,8 +461,13 @@ class LineTracker:
         lam, offset = self.surf.locate(np.concatenate([lines[k][0] for k in observed]))
         measured = [self._station_measurements(*located)
                     for located in zip(np.split(lam, bounds), np.split(offset, bounds))]
-        dist = np.array([[self._distance(track, *m) for track in self.tracks] for m in measured])
-        dist = dist.reshape(len(measured), len(self.tracks))
+        lo, hi = min(s[0] for s, _ in measured), max(s[-1] for s, _ in measured) + 1
+        offsets = np.full((len(measured), hi - lo), np.nan)
+        for row, (stations, means) in enumerate(measured):
+            offsets[row, stations - lo] = means
+        tracked = np.array([track.offsets[lo:hi] for track in self.tracks]).reshape(-1, hi - lo)
+        gap = np.abs(offsets[:, None] - tracked)
+        dist = masked_mean(gap, ~np.isnan(gap))
         rows, cols = gated_assignment(dist, dist < self.gate)
         joined = dict(zip(rows.tolist(), cols.tolist()))
         for row, k in enumerate(observed):

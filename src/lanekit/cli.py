@@ -259,7 +259,8 @@ def _format_table(report: dict) -> str:
     headers.append("Vis-IoU")
     values.append("-" if report["vis_iou"] is None else f"{report['vis_iou']:.4f}")
     headers.append("CD")
-    values.append(f"{report['chamfer']['mean_cd']:.4f}")
+    mean_cd = report["chamfer"]["mean_cd"]
+    values.append("-" if mean_cd is None else f"{mean_cd:.4f}")
     widths = [max(len(h), len(v)) for h, v in zip(headers, values)]
     head = "  ".join(h.ljust(w) for h, w in zip(headers, widths))
     body = "  ".join(v.ljust(w) for v, w in zip(values, widths))

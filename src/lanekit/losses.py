@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .assignment import gated_assignment, linear_sum_assignment
+from .assignment import gated_assignment, linear_sum_assignment, masked_mean
 from .splines import CurveConfig, arg_for_y, basis_matrix
 from .temporal import EgoPose, apply_transform, relative_transform
 
@@ -424,12 +424,8 @@ class EmaTracker:
             return 0.0
 
         px, pz, pv, valid = _propagate_state_grid(self.state, pose)
-        # Mean (x, z) gap over each track's valid grid points; a track with
-        # no valid point is at infinite distance from every lane.
         gap = np.hypot(px[:, None] - cur_x[None], pz[:, None] - cur_z[None])
-        covered = valid.sum(axis=1)[:, None]
-        dist = np.full((px.shape[0], n_cur), np.inf)
-        np.divide(np.where(valid[:, None], gap, 0.0).sum(axis=2), covered, out=dist, where=covered > 0)
+        dist = masked_mean(gap, np.broadcast_to(valid[:, None], gap.shape))
         t, c = gated_assignment(dist, dist <= self.gate)
         # pairs first, then coasting tracks that still cover the grid, then new lanes
         coast = np.setdiff1d(np.flatnonzero(valid.any(axis=1)), t)

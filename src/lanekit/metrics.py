@@ -6,7 +6,9 @@ Both scores pair a frame's lanes one-to-one by the gated assignment
 positives.  Lanes are resampled on a uniform longitudinal grid over their
 visible extent.  A prediction and a target match pointwise where their
 (x, z) distance stays below the point threshold, and a pair is admissible
-when enough of the co-visible grid points match.
+when enough of the co-visible grid points match.  A pair's cost is its
+mean distance over the co-visible grid points, `masked_mean` of
+`lanekit.assignment`, the one cost of every lane association.
 A frame's lanes are compared as arrays, every (target, prediction) pair
 at once.  A range bin's x/z error is the sum of |dx| or |dz| over the
 matched pairs' co-visible grid points in the bin, over all frames,
@@ -17,7 +19,8 @@ It is point-to-point: a pair's distance is the mean, over every target
 sample, of the 3D distance to the nearest predicted sample, with
 visibility ignored, and a pair is admissible when this distance is below
 the chamfer threshold (tau).  It is computed exactly in squared form,
-taking one square root per target sample rather than one per pair.
+taking one square root per target sample rather than one per pair.  The
+report's mean chamfer distance is null when no pair matched.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .assignment import gated_assignment
+from .assignment import gated_assignment, masked_mean
 
 
 @dataclass(frozen=True)
@@ -58,6 +61,9 @@ class MatchConfig:
         if not (math.isfinite(self.y_min) and math.isfinite(self.y_max) and self.y_max > self.y_min):
             raise ValueError(f"y range must be finite with y_max > y_min, "
                              f"got [{self.y_min!r}, {self.y_max!r}]")
+        if not math.isfinite((self.y_max - self.y_min) / self.y_step):
+            raise ValueError(f"grid point count (y_max - y_min) / y_step must be finite, "
+                             f"got ({self.y_max!r} - {self.y_min!r}) / {self.y_step!r}")
 
     @property
     def y_grid(self) -> np.ndarray:
@@ -134,17 +140,10 @@ def match_lanes(pred_lanes, gt_lanes, cfg: MatchConfig) -> FrameMatch:
     matched = np.count_nonzero(both & (dist < cfg.point_threshold), axis=2)
     # a pair with no co-visible point has matched = 0, so it fails any match fraction
     admissible = matched / np.maximum(n_both, 1) >= cfg.match_fraction
-    # Mean distance over co-visible points.  Pairs with one count are reduced
-    # together, a row each, which sums as a pair's own `dist[both].mean()` does:
-    # the costs stay bit-equal, so exactly tied assignments resolve as before.
-    cost = np.zeros(n_both.shape)
-    for count in np.unique(n_both[admissible]):
-        same = admissible & (n_both == count)
-        cost[same] = dist[same][both[same]].reshape(-1, count).mean(axis=1)
     iou = n_both / (gvis[:, None] | pvis[None]).sum(axis=2)
 
     pairs = []
-    for gi, pi in zip(*gated_assignment(cost, admissible)):
+    for gi, pi in zip(*gated_assignment(masked_mean(dist, both), admissible)):
         on = both[gi, pi]
         pairs.append(MatchedPair(pred_index=pred_ids[pi], gt_index=gt_ids[gi],
                                  abs_dx=np.abs(dx[gi, pi, on]), abs_dz=np.abs(dz[gi, pi, on]),
@@ -257,6 +256,6 @@ class EvalAccumulator:
                 "precision": c_precision,
                 "recall": c_recall,
                 "f1": c_f1,
-                "mean_cd": self.chamfer_sum / self.chamfer_tp if self.chamfer_tp else 0.0,
+                "mean_cd": self.chamfer_sum / self.chamfer_tp if self.chamfer_tp else None,
             },
         }

@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment as scipy_assignment
 
 import lanekit
-from lanekit.assignment import INADMISSIBLE, gated_assignment, linear_sum_assignment
+from lanekit.assignment import INADMISSIBLE, gated_assignment, linear_sum_assignment, masked_mean
 
 # 4 targets x 20 proposals and 20 tracks x 20 lanes are the detector's two solves
 DETECTOR_SHAPES = [(4, 20), (20, 20), (20, 4)]
@@ -122,6 +122,43 @@ def test_gated_equals_scipy_on_the_penalised_matrix(cost, gate):
     assert rows.dtype == cols.dtype == np.intp
     assert rows.tolist() == want_rows[kept].tolist()
     assert cols.tolist() == want_cols[kept].tolist()
+
+
+# on both sides of numpy's pairwise sum: 8 running sums below 128 terms, halves above
+MASKED_COUNTS = [0, 1, 7, 8, 9, 16, 17, 128, 129, 300]
+
+
+def masked_rows(rng):
+    """(3, counts, 320) values and mask, three rows for each count in MASKED_COUNTS, the masked
+    entries scattered over the row.  Values are random normal; a quarter are rescaled to
+    magnitudes from 1e-12 to 1e12 and some are +0.0 or -0.0.  Unmasked entries are NaN."""
+    shape = (3, len(MASKED_COUNTS), 320)
+    values = rng.normal(size=shape)
+    extreme = rng.random(shape) < 0.25
+    values[extreme] = np.copysign(10.0 ** rng.uniform(-12.0, 12.0, int(extreme.sum())), values[extreme])
+    zeros = rng.random(shape) < 0.1
+    values[zeros] = np.copysign(0.0, rng.normal(size=int(zeros.sum())))
+    mask = np.zeros(shape, dtype=bool)
+    for row, count in np.ndindex(shape[:2]):
+        mask[row, count, rng.choice(shape[2], MASKED_COUNTS[count], replace=False)] = True
+    values[~mask] = np.nan
+    return values, mask
+
+
+def test_masked_mean_sums_each_row_as_its_own_sum():
+    values, mask = masked_rows(np.random.default_rng(23))
+    got = masked_mean(values, mask)
+    want = np.full(mask.shape[:2], np.inf)
+    for row in np.ndindex(mask.shape[:2]):
+        if mask[row].any():
+            want[row] = values[row][mask[row]].sum() / np.count_nonzero(mask[row])
+    assert got.shape == want.shape and got.dtype == np.float64
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert np.isposinf(got[:, 0]).all() and np.isfinite(got[:, 1:]).all()
+    # the zero-filled row sum groups the terms by position and comes out different
+    counts = np.count_nonzero(mask, axis=-1)
+    zero_filled = np.where(mask, values, 0.0).sum(axis=-1)[:, 1:] / counts[:, 1:]
+    assert (zero_filled.view(np.int64) != got[:, 1:].view(np.int64)).any()
 
 
 def test_cli_import_loads_no_scipy():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lanekit import autolabel, synth
+from lanekit.assignment import gated_assignment
 from lanekit.autolabel import (
     CameraModel,
     LineTracker,
@@ -720,31 +721,34 @@ class TestPerRayBound:
 
 
 def per_line_step(tracker, lines):
-    """Reference for `LineTracker.step`: each line located on its own, then associated in order."""
-    assignments, claimed = [], set()
-    for points, category in lines:
-        if len(points) == 0:
-            assignments.append(-1)
-            continue
-        lam, offset = tracker.surf.locate(points)
-        idx = np.clip(np.round(lam / tracker.spacing).astype(int), 0, tracker.stations.size - 1)
-        stations = np.unique(idx)
-        offsets = np.array([offset[idx == s].mean() for s in stations])
-        best, best_dist = None, tracker.gate
-        for track in tracker.tracks:
-            if track.track_id not in claimed:
-                dist = tracker._distance(track, stations, offsets)
-                if dist < best_dist:
-                    best, best_dist = track, dist
-        if best is None:
-            best = Track(track_id=tracker._next_id, offsets=np.full(tracker.stations.size, np.nan),
-                         variances=np.full(tracker.stations.size, np.inf),
-                         counts=np.zeros(tracker.stations.size, dtype=int))
+    """Reference for `LineTracker.step`: each line located on its own, its distance to each
+    track taken pair by pair, then the gated assignment; unmatched lines spawn in order."""
+    measured = {}
+    for k, (points, _) in enumerate(lines):
+        if len(points):
+            lam, offset = tracker.surf.locate(points)
+            idx = np.clip(np.round(lam / tracker.spacing).astype(int), 0, tracker.stations.size - 1)
+            stations = np.unique(idx)
+            measured[k] = stations, np.array([offset[idx == s].mean() for s in stations])
+    dist = np.full((len(measured), len(tracker.tracks)), np.inf)
+    for row, (stations, offsets) in enumerate(measured.values()):
+        for col, track in enumerate(tracker.tracks):
+            common = track.counts[stations] > 0
+            if common.any():
+                dist[row, col] = np.abs(offsets[common] - track.offsets[stations[common]]).mean()
+    joined = dict(zip(*(a.tolist() for a in gated_assignment(dist, dist < tracker.gate))))
+    assignments = [-1] * len(lines)
+    for row, (k, (stations, offsets)) in enumerate(measured.items()):
+        if row in joined:
+            track = tracker.tracks[joined[row]]
+        else:
+            track = Track(track_id=tracker._next_id, offsets=np.full(tracker.stations.size, np.nan),
+                          variances=np.full(tracker.stations.size, np.inf),
+                          counts=np.zeros(tracker.stations.size, dtype=int))
             tracker._next_id += 1
-            tracker.tracks.append(best)
-        claimed.add(best.track_id)
-        tracker._update(best, stations, offsets, category)
-        assignments.append(best.track_id)
+            tracker.tracks.append(track)
+        tracker._update(track, stations, offsets, lines[k][1])
+        assignments[k] = track.track_id
     return assignments
 
 
@@ -761,6 +765,9 @@ class TestOneLocatePerFrame:
         for frame in range(12):
             start = 2.0 * frame
             lines = [
+                # contested from frame 6 on: within the gate of its own track (1.7 m) and of the
+                # 0.2 m line's, which is nearer, so a first-come step would take that one
+                (np.column_stack([np.full(20, 1.7 if frame < 6 else 0.9), y + start, np.zeros(20)]), 4),
                 (np.column_stack([rng.normal(0.2, 0.05, 20), y + start, np.zeros(20)]), 1),
                 (np.zeros((0, 3)), 2),
                 # midway between the legs: every point ties between an outbound and a return segment
@@ -770,9 +777,9 @@ class TestOneLocatePerFrame:
             ]
             calls.clear()
             got = batched.step(lines)
-            assert calls == [60]
+            assert calls == [80]
             assert got == per_line_step(reference, lines)
-        assert len(batched.tracks) == len(reference.tracks) >= 3
+        assert len(batched.tracks) == len(reference.tracks) == 4
         for a, b in zip(batched.tracks, reference.tracks):
             assert a.track_id == b.track_id and a.hits == b.hits
             assert a.category_votes == b.category_votes

@@ -66,6 +66,14 @@ class TestEvalCommand:
         assert report["chamfer"]["mean_cd"] == 0.0
         assert report_path.exists()
 
+    def test_table_shows_dash_where_nothing_matched(self):
+        acc = metrics.EvalAccumulator()
+        acc.add_frame([], [np.column_stack([np.zeros(11), np.arange(11.0), np.zeros(11), np.ones(11)])])
+        report = acc.report()
+        assert report["vis_iou"] is None and report["chamfer"]["mean_cd"] is None
+        headers, values = cli._format_table(report).splitlines()
+        assert headers.split()[-2:] == ["Vis-IoU", "CD"] and values.split()[-2:] == ["-", "-"]
+
     @pytest.mark.parametrize("flag, value", [
         ("--y-step", "0"), ("--y-step", "-2"), ("--y-step", "nan"),
         ("--threshold", "nan"), ("--threshold", "inf"),
@@ -670,6 +678,8 @@ def test_temporal_demo_records_its_weights(tmp_path, capsys):
      "--y-start 50.0, --y-end 10.0"),
     (["eval", "--pred", "{scene}.gt.jsonl", "--gt", "{scene}.gt.jsonl", "--y-step", "0"], None,
      "--y-step 0.0"),
+    (["eval", "--pred", "{scene}.gt.jsonl", "--gt", "{scene}.gt.jsonl", "--y-max", "1e300", "--y-step", "1e-300"],
+     None, "--y-min 0.0, --y-max 1e+300, --y-step 1e-300, --chamfer-threshold 0.3: grid point count"),
 ], ids=["alpha-null", "weight-null", "curvature-object", "curvature-string", "unknown-key", "seed-float",
         "int-beyond-float", "overridden-entry-checked", "seed-bool", "path-key", "near-range-nan", "gate-nan",
         "station-spacing-zero", "station-spacing-negative", "pixel-noise-nan", "lane-spacing-nan",
@@ -683,7 +693,7 @@ def test_temporal_demo_records_its_weights(tmp_path, capsys):
         "negative-k-nearest", "masks-negative-history", "masks-negative-keep", "lane-shorter-than-drive",
         "lane-end-shortens-last-step", "zero-near-range", "autolabel-negative-label-range", "zero-gate",
         "negative-min-hits", "negative-occlusion-start", "negative-occlusion-frames",
-        "spline-too-few-samples", "spline-empty-y-range", "eval-zero-y-step"])
+        "spline-too-few-samples", "spline-empty-y-range", "eval-zero-y-step", "eval-grid-overflow"])
 def test_bad_option_fails_naming_it(tmp_path, capsys, scene, argv, config, option):
     out = str(tmp_path / "out")
     argv = [arg.format(scene=scene, out=out) for arg in argv]

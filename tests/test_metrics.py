@@ -335,9 +335,9 @@ class TestChamfer:
         assert unilateral_chamfer(short_pred, full_gt) == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_inputs(self):
-        assert chamfer_report([], [lane(0.0)]) == {"precision": 0.0, "recall": 0.0, "f1": 0.0, "mean_cd": 0.0}
+        assert chamfer_report([], [lane(0.0)]) == {"precision": 0.0, "recall": 0.0, "f1": 0.0, "mean_cd": None}
 
-    def test_greedy_assignment_prefers_closer_pair(self):
+    def test_gated_assignment_takes_the_cheaper_pair(self):
         preds = [lane(0.05), lane(0.25)]
         gts = [lane(0.0)]
         report = chamfer_report(preds, gts, tau=0.3)
