@@ -1,7 +1,10 @@
 """Trajectory-based auto-labeling: lift near-range 2D lane detections onto
 a road surface spanned by the ego trajectory, accumulate them across
 frames with a per-station Kalman line tracker, and emit per-frame local
-3D labels.
+3D labels.  Each frame, the tracker bins all of its lines' located points
+in one pass into a (lines, stations) array of mean lateral offsets, NaN
+where a line has no point; that one array prices the lines against the
+tracks and updates the joined ones.
 
 The surface is piecewise planar: one plane per consecutive trajectory
 pose pair, oriented by the vehicle's up vector, valid over its
@@ -392,7 +395,6 @@ class Track:
     track_id: int
     offsets: np.ndarray      # (stations,), NaN where never observed
     variances: np.ndarray
-    counts: np.ndarray       # observations per station
     category_votes: dict = field(default_factory=dict)
     hits: int = 0            # frames with an associated observation
 
@@ -404,7 +406,7 @@ class Track:
         return best
 
     def observed(self) -> np.ndarray:
-        return self.counts > 0
+        return ~np.isnan(self.offsets)
 
 
 class LineTracker:
@@ -433,39 +435,37 @@ class LineTracker:
         self.tracks: list[Track] = []
         self._next_id = 0
 
-    def _station_measurements(self, lam: np.ndarray, offset: np.ndarray):
-        """Bin one line's located points to stations; returns (ascending station indices, mean offsets)."""
-        idx = np.clip(np.round(lam / self.spacing).astype(int), 0, self.stations.size - 1)
-        order = np.argsort(idx, kind="stable")
-        idx, offset = idx[order], offset[order]
-        start = np.flatnonzero(np.r_[True, idx[1:] != idx[:-1]])
-        means = np.add.reduceat(offset, start) / np.diff(np.append(start, offset.size))
-        return idx[start], means
-
     def step(self, lines) -> list[int]:
         """Associate and filter one frame's lifted lines; returns the track id per line.
 
         All lines are located in one `SurfaceModel.locate` call (see the
-        module docstring).  A (line, track) distance is the `masked_mean`
-        of the absolute offset gaps over the stations both hold, inf where
-        they share none.  Lines join tracks by `gated_assignment` over
-        these distances, admissible below the gate; unmatched non-empty
-        lines spawn tracks in input order, and empty lines get -1.
+        module docstring) and binned in one pass into a (lines, stations)
+        array of mean offsets over the stations the frame touches, NaN
+        where a line has no point.  That array feeds both the cost and the
+        filter.  A (line, track) distance is the `masked_mean` of the
+        absolute offset gaps over the stations both hold, inf where they
+        share none.  Lines join tracks by `gated_assignment` over these
+        distances, admissible below the gate; unmatched non-empty lines
+        spawn tracks in input order, and empty lines get -1.
         """
         lines = [(np.asarray(points, dtype=float), category) for points, category in lines]
         observed = [k for k, (points, _) in enumerate(lines) if points.shape[0]]
         assignments = [-1] * len(lines)
         if not observed:
             return assignments
-        bounds = np.cumsum([len(lines[k][0]) for k in observed])[:-1]
+        sizes = [len(lines[k][0]) for k in observed]
         lam, offset = self.surf.locate(np.concatenate([lines[k][0] for k in observed]))
-        measured = [self._station_measurements(*located)
-                    for located in zip(np.split(lam, bounds), np.split(offset, bounds))]
-        lo, hi = min(s[0] for s, _ in measured), max(s[-1] for s, _ in measured) + 1
-        offsets = np.full((len(measured), hi - lo), np.nan)
-        for row, (stations, means) in enumerate(measured):
-            offsets[row, stations - lo] = means
-        tracked = np.array([track.offsets[lo:hi] for track in self.tracks]).reshape(-1, hi - lo)
+        idx = np.clip(np.round(lam / self.spacing).astype(int), 0, self.stations.size - 1)
+        lo, hi = idx.min(), idx.max() + 1
+        span, width = slice(lo, hi), hi - lo
+        # a stable sort keeps each (line, station) run in input order, so runs sum as they come
+        key = np.repeat(np.arange(len(observed)) * width, sizes) + (idx - lo)
+        order = np.argsort(key, kind="stable")
+        key, offset = key[order], offset[order]
+        start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        offsets = np.full((len(observed), width), np.nan)
+        offsets.flat[key[start]] = np.add.reduceat(offset, start) / np.diff(np.append(start, key.size))
+        tracked = np.array([track.offsets[span] for track in self.tracks]).reshape(-1, width)
         gap = np.abs(offsets[:, None] - tracked)
         dist = masked_mean(gap, ~np.isnan(gap))
         rows, cols = gated_assignment(dist, dist < self.gate)
@@ -474,30 +474,26 @@ class LineTracker:
             if row in joined:
                 track = self.tracks[joined[row]]
             else:
-                track = Track(
-                    track_id=self._next_id,
-                    offsets=np.full(self.stations.size, np.nan),
-                    variances=np.full(self.stations.size, np.inf),
-                    counts=np.zeros(self.stations.size, dtype=int),
-                )
+                track = Track(track_id=self._next_id, offsets=np.full(self.stations.size, np.nan),
+                              variances=np.full(self.stations.size, np.inf))
                 self._next_id += 1
                 self.tracks.append(track)
-            self._update(track, *measured[row], lines[k][1])
+            self._update(track, span, offsets[row], lines[k][1])
             assignments[k] = track.track_id
         return assignments
 
-    def _update(self, track: Track, stations: np.ndarray, offsets: np.ndarray, category):
-        fresh = np.isnan(track.offsets[stations])
-        init = stations[fresh]
-        track.offsets[init] = offsets[fresh]
-        track.variances[init] = self.measurement_var
-        seen = stations[~fresh]
-        if seen.size:
-            prior = track.variances[seen] + self.process_var
-            gain = prior / (prior + self.measurement_var)
-            track.offsets[seen] += gain * (offsets[~fresh] - track.offsets[seen])
-            track.variances[seen] = (1.0 - gain) * prior
-        track.counts[stations] += 1
+    def _update(self, track: Track, span: slice, measured: np.ndarray, category):
+        """Filter `track` over `span` with one line's station means, NaN where it has none."""
+        offsets, variances = track.offsets[span], track.variances[span]
+        has = ~np.isnan(measured)
+        fresh = has & np.isnan(offsets)
+        seen = has & ~fresh
+        offsets[fresh] = measured[fresh]
+        variances[fresh] = self.measurement_var
+        prior = variances[seen] + self.process_var
+        gain = prior / (prior + self.measurement_var)
+        offsets[seen] += gain * (measured[seen] - offsets[seen])
+        variances[seen] = (1.0 - gain) * prior
         track.category_votes[int(category)] = track.category_votes.get(int(category), 0) + 1
         track.hits += 1
 

@@ -24,6 +24,7 @@ the run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -169,28 +170,37 @@ def _resolve(args) -> dict:
     return resolved
 
 
-def _config(cls, config: dict, **options):
-    """`cls` built with each field set to the named option's value.  The class
-    owns its rules; a rule that fails names the options it was built from."""
+@contextlib.contextmanager
+def _naming(config: dict, *names):
+    """A ValueError raised inside names the options, with their values, that it came from."""
     try:
-        return cls(**{field: config[name] for field, name in options.items()})
+        yield
     except ValueError as exc:
-        given = ", ".join(f"--{name} {config[name]}" for name in options.values())
+        given = ", ".join(f"--{name} {config[name]}" for name in names)
         raise ValueError(f"{given}: {exc}") from None
 
 
+def _config(cls, config: dict, **options):
+    """`cls` built with each field set to the named option's value.  The class
+    owns its rules; a rule that fails names the options it was built from."""
+    with _naming(config, *options.values()):
+        return cls(**{field: config[name] for field, name in options.items()})
+
+
 def cmd_synth(args, config: dict) -> int:
-    spec = synth.SceneSpec(
-        num_lanes=config["num-lanes"],
-        lane_spacing=config["lane-spacing"],
-        curvature=config["curvature"],
-        elevation=(0.0, config["grade"]),
-        frames=config["frames"],
-        speed=config["speed"],
-        frame_interval=config["frame-interval"],
-        seed=config["seed"],
-        lane_length=config["lane-length"],
-    )
+    # the bounds in OPTIONS hold every rule of SceneSpec but the one on its polynomials
+    with _naming(config, "curvature", "grade", "lane-length"):
+        spec = synth.SceneSpec(
+            num_lanes=config["num-lanes"],
+            lane_spacing=config["lane-spacing"],
+            curvature=config["curvature"],
+            elevation=(0.0, config["grade"]),
+            frames=config["frames"],
+            speed=config["speed"],
+            frame_interval=config["frame-interval"],
+            seed=config["seed"],
+            lane_length=config["lane-length"],
+        )
     noise, y_max = config["pixel-noise"], config["label-range"]
     world = synth.gen_scene(spec)
     cam = CameraModel.level_camera()
@@ -391,9 +401,10 @@ def cmd_temporal_demo(args, config: dict) -> int:
     weights = losses.LossWeights(**config["weights"])
     curve_cfg = splines.CurveConfig(m=config["control-points"], y_start=3.0, y_end=103.0)
     # the lane covers the drive (1 m a frame), the curves' reach past the last pose and a margin
-    spec = synth.SceneSpec(num_lanes=config["lanes"], frames=config["frames"], seed=config["seed"],
-                           curvature=(0.0,), elevation=(0.0, config["grade"]),
-                           lane_length=max(400.0, config["frames"] + curve_cfg.y_end + 20.0))
+    with _naming(config, "grade", "frames"):
+        spec = synth.SceneSpec(num_lanes=config["lanes"], frames=config["frames"], seed=config["seed"],
+                               curvature=(0.0,), elevation=(0.0, config["grade"]),
+                               lane_length=max(400.0, config["frames"] + curve_cfg.y_end + 20.0))
     world = synth.gen_scene(spec)
     y_grid = np.linspace(curve_cfg.y_start, curve_cfg.y_end, 51)
     rng = np.random.default_rng(config["seed"])
@@ -481,7 +492,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, _resolve(args))
-    except (SchemaError, OSError, ValueError) as exc:
+    except (SchemaError, OSError, ValueError, MemoryError) as exc:  # MemoryError: a size beyond memory
         return _fail(str(exc))
 
 

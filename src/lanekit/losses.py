@@ -415,13 +415,9 @@ class EmaTracker:
         cur_z = np.atleast_2d(np.asarray(cur_z, dtype=float))
         cur_v = np.atleast_2d(np.asarray(cur_v, dtype=float))
         n_cur = cur_x.shape[0]
-
-        if self.state is None or self.state.lane_count == 0:
-            ids = np.arange(self._next_id, self._next_id + n_cur)
-            self._next_id += n_cur
-            self.state = EmaState(y_grid=self.y_grid, x=cur_x.copy(), z=cur_z.copy(),
-                                  v=cur_v.copy(), pose=pose, lane_ids=ids)
-            return 0.0
+        if self.state is None:  # no tracks yet, at the first pose: every lane starts fresh
+            empty = np.zeros((0, self.y_grid.size))
+            self.state = EmaState(y_grid=self.y_grid, x=empty, z=empty, v=empty, pose=pose)
 
         px, pz, pv, valid = _propagate_state_grid(self.state, pose)
         gap = np.hypot(px[:, None] - cur_x[None], pz[:, None] - cur_z[None])

@@ -20,6 +20,7 @@ from .autolabel import CameraModel, Trajectory
 from .temporal import EgoPose, apply_transform
 
 SAMPLE_STEP = 0.5  # m between ground-truth lane samples along the centerline parameter y
+_POLY_LIMIT = 1e150  # bound on a scene polynomial's value and slope: sums of a few squares stay finite
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,12 @@ class SceneSpec:
             raise ValueError("need at least one frame")
         if self.speed <= 0 or self.frame_interval <= 0:
             raise ValueError("speed and frame interval must be positive")
+        y_max = self.lane_length + SAMPLE_STEP  # beyond the last centerline sample
+        for name, coeffs in (("curvature", self.curvature), ("elevation", self.elevation)):
+            reach = _reach(coeffs, y_max)
+            if not reach < _POLY_LIMIT:
+                raise ValueError(f"{name} polynomial {tuple(coeffs)} may reach {reach:.3g} in value or "
+                                 f"slope for y in [0, {y_max:g}] m; it must stay below {_POLY_LIMIT:g}")
 
 
 @dataclass(frozen=True)
@@ -80,6 +87,19 @@ class World:
             if np.count_nonzero(keep) >= 2:
                 out.append((lane_id, category, local[keep]))
         return out
+
+
+def _reach(coeffs, y_max: float) -> float:
+    """Bound on |p(y)| and |p'(y)| over [0, y_max] of the polynomial with low-order-first
+    coefficients: the larger of sum |c_k| y_max^k and sum k |c_k| y_max^(k-1), and inf
+    where a power of y_max overflows, as `_polyval`'s would."""
+    try:
+        powers = [float(y_max) ** k for k in range(len(coeffs))]  # a Python float raises on overflow
+    except OverflowError:
+        return np.inf
+    value = sum(abs(c) * p for c, p in zip(coeffs, powers))
+    slope = sum(k * abs(c) * p for k, (c, p) in enumerate(zip(coeffs[1:], powers), start=1))
+    return max(value, slope)
 
 
 def _polyval(coeffs, y):

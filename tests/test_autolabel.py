@@ -721,19 +721,22 @@ class TestPerRayBound:
 
 
 def per_line_step(tracker, lines):
-    """Reference for `LineTracker.step`: each line located on its own, its distance to each
-    track taken pair by pair, then the gated assignment; unmatched lines spawn in order."""
+    """Reference for `LineTracker.step`: each line located and binned on its own, its distance
+    to each track taken pair by pair, then the gated assignment; unmatched lines spawn in order,
+    and each joined track runs the scalar filter at the line's stations."""
     measured = {}
     for k, (points, _) in enumerate(lines):
         if len(points):
             lam, offset = tracker.surf.locate(points)
             idx = np.clip(np.round(lam / tracker.spacing).astype(int), 0, tracker.stations.size - 1)
             stations = np.unique(idx)
-            measured[k] = stations, np.array([offset[idx == s].mean() for s in stations])
+            runs = [offset[idx == s] for s in stations]  # each station's points in input order
+            # summed as `np.add.reduceat` sums a run: its first point plus numpy's sum of the rest
+            measured[k] = stations, np.array([(run[0] + np.add.reduce(run[1:])) / run.size for run in runs])
     dist = np.full((len(measured), len(tracker.tracks)), np.inf)
     for row, (stations, offsets) in enumerate(measured.values()):
         for col, track in enumerate(tracker.tracks):
-            common = track.counts[stations] > 0
+            common = ~np.isnan(track.offsets[stations])
             if common.any():
                 dist[row, col] = np.abs(offsets[common] - track.offsets[stations[common]]).mean()
     joined = dict(zip(*(a.tolist() for a in gated_assignment(dist, dist < tracker.gate))))
@@ -743,11 +746,19 @@ def per_line_step(tracker, lines):
             track = tracker.tracks[joined[row]]
         else:
             track = Track(track_id=tracker._next_id, offsets=np.full(tracker.stations.size, np.nan),
-                          variances=np.full(tracker.stations.size, np.inf),
-                          counts=np.zeros(tracker.stations.size, dtype=int))
+                          variances=np.full(tracker.stations.size, np.inf))
             tracker._next_id += 1
             tracker.tracks.append(track)
-        tracker._update(track, stations, offsets, lines[k][1])
+        fresh = np.isnan(track.offsets[stations])
+        track.offsets[stations[fresh]] = offsets[fresh]
+        track.variances[stations[fresh]] = tracker.measurement_var
+        seen = stations[~fresh]
+        prior = track.variances[seen] + tracker.process_var
+        gain = prior / (prior + tracker.measurement_var)
+        track.offsets[seen] += gain * (offsets[~fresh] - track.offsets[seen])
+        track.variances[seen] = (1.0 - gain) * prior
+        track.category_votes[lines[k][1]] = track.category_votes.get(lines[k][1], 0) + 1
+        track.hits += 1
         assignments[k] = track.track_id
     return assignments
 
@@ -785,7 +796,26 @@ class TestOneLocatePerFrame:
             assert a.category_votes == b.category_votes
             np.testing.assert_array_equal(a.offsets, b.offsets)
             np.testing.assert_array_equal(a.variances, b.variances)
-            np.testing.assert_array_equal(a.counts, b.counts)
+
+    def test_step_sums_runs_of_shuffled_points_as_the_reference(self):
+        """Several points of one line fall in each station, in shuffled order, and the lines
+        share stations: each (line, station) run is summed as the per-line reference sums it."""
+        surf = build_surface(hairpin_trajectory())
+        batched, reference = LineTracker(surf), LineTracker(surf)
+        rng = np.random.default_rng(23)
+        for frame in range(10):
+            lines = []
+            for x, first, count in [(0.2, 1.0, 60), (-1.6, 9.0, 35), (1.9, 5.0, 12), (5.8, 3.0, 40)]:
+                y = rng.permutation(first + 2.0 * frame + 0.4 * np.arange(count))  # 5 points a station
+                lines.append((np.column_stack([rng.normal(x, 0.05, count), y, np.zeros(count)]),
+                              1 + frame % 2))
+            assert batched.step(lines) == per_line_step(reference, lines)
+        assert len(batched.tracks) == len(reference.tracks) == 4
+        for a, b in zip(batched.tracks, reference.tracks):
+            assert a.track_id == b.track_id and a.hits == b.hits == 10
+            assert a.category_votes == b.category_votes
+            np.testing.assert_array_equal(a.offsets, b.offsets)
+            np.testing.assert_array_equal(a.variances, b.variances)
 
 
 def mixed_operands(rng, shape):

@@ -680,6 +680,10 @@ def test_temporal_demo_records_its_weights(tmp_path, capsys):
      "--y-step 0.0"),
     (["eval", "--pred", "{scene}.gt.jsonl", "--gt", "{scene}.gt.jsonl", "--y-max", "1e300", "--y-step", "1e-300"],
      None, "--y-min 0.0, --y-max 1e+300, --y-step 1e-300, --chamfer-threshold 0.3: grid point count"),
+    (["synth", "{out}", "--frames", "3", "--curvature", "0", "0", "1e300"], None,
+     "--curvature (0.0, 0.0, 1e+300), --grade 0.0, --lane-length 400.0: curvature polynomial"),
+    (["synth", "{out}", "--frames", "3", "--grade", "1e300"], None, "--grade 1e+300"),
+    (["temporal-demo", "--grade", "1e300"], None, "--grade 1e+300, --frames 120: elevation polynomial"),
 ], ids=["alpha-null", "weight-null", "curvature-object", "curvature-string", "unknown-key", "seed-float",
         "int-beyond-float", "overridden-entry-checked", "seed-bool", "path-key", "near-range-nan", "gate-nan",
         "station-spacing-zero", "station-spacing-negative", "pixel-noise-nan", "lane-spacing-nan",
@@ -693,7 +697,8 @@ def test_temporal_demo_records_its_weights(tmp_path, capsys):
         "negative-k-nearest", "masks-negative-history", "masks-negative-keep", "lane-shorter-than-drive",
         "lane-end-shortens-last-step", "zero-near-range", "autolabel-negative-label-range", "zero-gate",
         "negative-min-hits", "negative-occlusion-start", "negative-occlusion-frames",
-        "spline-too-few-samples", "spline-empty-y-range", "eval-zero-y-step", "eval-grid-overflow"])
+        "spline-too-few-samples", "spline-empty-y-range", "eval-zero-y-step", "eval-grid-overflow",
+        "synth-curvature-overflow", "synth-grade-overflow", "demo-grade-overflow"])
 def test_bad_option_fails_naming_it(tmp_path, capsys, scene, argv, config, option):
     out = str(tmp_path / "out")
     argv = [arg.format(scene=scene, out=out) for arg in argv]
@@ -708,6 +713,21 @@ def test_bad_option_fails_naming_it(tmp_path, capsys, scene, argv, config, optio
     assert main(argv) == 2
     assert option in json.loads(capsys.readouterr().err)["error"]
     assert list(tmp_path.iterdir()) == ([tmp_path / "config.json"] if config is not None else [])
+
+
+# sizes of petabytes, which numpy refuses before it allocates anything
+@pytest.mark.parametrize("argv", [
+    ["synth", "{out}", "--frames", "2", "--lane-length", "1e15"],
+    ["autolabel", "--trajectory", "{scene}.trajectory.json", "--camera", "{scene}.camera.json",
+     "--detections", "{scene}.detections.jsonl", "--out", "{out}", "--label-range", "1e15"],
+], ids=["synth-lane-length", "autolabel-label-range"])
+def test_size_beyond_memory_fails_cleanly(tmp_path, capsys, scene, argv):
+    out = str(tmp_path / "out")
+    assert main([arg.format(scene=scene, out=out) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert "Unable to allocate" in json.loads(captured.err)["error"]
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def readme_commands():

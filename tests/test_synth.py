@@ -52,6 +52,21 @@ class TestGenScene:
         with pytest.raises(ValueError):
             SceneSpec(frames=0)
 
+    @pytest.mark.parametrize("field, coeffs", [
+        ("curvature", (0.0, 0.0, 1e300)),
+        ("elevation", (0.0, 1e300)),
+        ("elevation", (0.0, 4e147)),  # the value reaches 1.6e150 at the lane's end
+        ("curvature", (0.0,) * 150 + (1e-300,)),  # a power of the lane length overflows
+        ("curvature", (0.0, 0.0, 5e307)),  # the slope's coefficient 2 c overflows
+    ])
+    def test_polynomial_that_can_overflow_rejected(self, field, coeffs):
+        with pytest.raises(ValueError, match=f"{field} polynomial"):
+            SceneSpec(**{field: coeffs})
+
+    def test_polynomial_below_the_bound_runs_without_overflow(self):
+        world = gen_scene(SceneSpec(num_lanes=2, frames=3, curvature=(0.0, 2e147), elevation=(0.0, 2e147)))
+        assert all(np.isfinite(points).all() for _, _, points in world.lanes)
+
 
 class TestRender:
     def test_point_on_optical_axis(self):
