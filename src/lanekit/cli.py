@@ -95,10 +95,10 @@ OPTIONS = {
         "chamfer-threshold": (_float, 0.3),
     },
     "spline": {
-        "control-points": (frames._int, 20, 4),
+        "control-points": (frames._int, 20, "[4, 100]"),
         "y-start": (_float, 3.0),
         "y-end": (_float, 103.0),
-        "samples": (frames._int, 100),
+        "samples": (frames._int, 100, "[4, 10000]"),
     },
     "masks": {
         "lanes": (frames._int, 40, 1),
@@ -188,7 +188,8 @@ def _config(cls, config: dict, **options):
 
 
 def cmd_synth(args, config: dict) -> int:
-    # the bounds in OPTIONS hold every rule of SceneSpec but the one on its polynomials
+    # the bounds in OPTIONS hold every rule of SceneSpec but the one on its polynomials, and
+    # gen_scene fails when a polynomial puts the drive so far out that its steps round away
     with _naming(config, "curvature", "grade", "lane-length"):
         spec = synth.SceneSpec(
             num_lanes=config["num-lanes"],
@@ -201,8 +202,8 @@ def cmd_synth(args, config: dict) -> int:
             seed=config["seed"],
             lane_length=config["lane-length"],
         )
+        world = synth.gen_scene(spec)
     noise, y_max = config["pixel-noise"], config["label-range"]
-    world = synth.gen_scene(spec)
     cam = CameraModel.level_camera()
 
     frames.write_trajectory(args.out_prefix + ".trajectory.json", world.trajectory, config)
@@ -415,14 +416,18 @@ def cmd_temporal_demo(args, config: dict) -> int:
     for f in range(spec.frames):
         pose = world.trajectory.poses[f]
         lanes = world.lanes_in_frame(f, y_min=curve_cfg.y_start, y_max=curve_cfg.y_end)
-        controls = []
-        for _, _, pts in lanes:
-            control = splines.fit_control_points(pts, curve_cfg)
-            if perturb > 0 and occl_start <= f < occl_start + config["occlusion-frames"]:
-                control = control.copy()
+        # a steep grade leaves a lane few samples, or none, in the curves' y range
+        with _naming(config, "grade"):
+            try:
+                fits = [splines.fit_control_points(pts, curve_cfg) for _, _, pts in lanes]
+            except splines.RankDeficientFit as exc:
+                raise ValueError(f"frame {f}: a lane cannot be fitted in y [3, 103] m: {exc}") from None
+            if not fits:
+                raise ValueError(f"frame {f}: no lane lies in y [3, 103] m")
+        controls = np.array(fits)
+        if perturb > 0 and occl_start <= f < occl_start + config["occlusion-frames"]:
+            for control in controls:
                 control[:, 0] += rng.normal(0.0, perturb)
-            controls.append(control)
-        controls = np.array(controls)
         cur_x, cur_z, cur_v = losses.resample_curves_on_grid(controls, curve_cfg, y_grid)
         temporal = tracker.step(cur_x, cur_z, cur_v, pose)
         embeddings = np.zeros((controls.shape[0], curve_cfg.m, 8))

@@ -17,6 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 _ORTHONORMAL_TOL = 1e-9
+# For a finite y, np.allclose(x, y, atol=_ORTHONORMAL_TOL) holds exactly when every
+# |x - y| <= _ORTHONORMAL_TOL + 1e-5 * |y|, a NaN failing; these are those bounds.
+_BOTTOM_ROW = np.array([0.0, 0.0, 0.0, 1.0])
+_BOTTOM_ROW_TOL = _ORTHONORMAL_TOL + 1e-5 * np.abs(_BOTTOM_ROW)
+_IDENTITY = np.eye(3)
+_IDENTITY_TOL = _ORTHONORMAL_TOL + 1e-5 * _IDENTITY
 
 
 @dataclass(frozen=True)
@@ -29,10 +35,10 @@ class EgoPose:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (4, 4):
             raise ValueError(f"pose must be 4x4, got {m.shape}")
-        if not np.allclose(m[3], [0.0, 0.0, 0.0, 1.0], atol=_ORTHONORMAL_TOL):
+        if not (abs(m[3] - _BOTTOM_ROW) <= _BOTTOM_ROW_TOL).all():
             raise ValueError("pose bottom row must be (0, 0, 0, 1)")
         r = m[:3, :3]
-        if not np.allclose(r.T @ r, np.eye(3), atol=_ORTHONORMAL_TOL):
+        if not (abs(r.T @ r - _IDENTITY) <= _IDENTITY_TOL).all():
             raise ValueError("pose rotation is not orthonormal")
         m = m.copy()
         m.flags.writeable = False

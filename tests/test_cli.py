@@ -650,7 +650,7 @@ def test_temporal_demo_records_its_weights(tmp_path, capsys):
     (["temporal-demo", "--control-points", "3"], None, "--control-points"),
     (["temporal-demo", "--control-points", "101"], None, "--control-points must lie in [4, 100], got 101"),
     (["spline", "--input", "{scene}.gt.jsonl", "--control-points", "3"], None,
-     "--control-points must be at least 4, got 3"),
+     "--control-points must lie in [4, 100], got 3"),
     (["temporal-demo", "--perturb", "-0.5"], None, "--perturb"),
     (["synth", "{out}", "--label-range", "-1"], None, "--label-range must lie in (0, inf)"),
     (["synth", "{out}", "--label-range", "0"], None, "--label-range must lie in (0, inf)"),
@@ -684,6 +684,15 @@ def test_temporal_demo_records_its_weights(tmp_path, capsys):
      "--curvature (0.0, 0.0, 1e+300), --grade 0.0, --lane-length 400.0: curvature polynomial"),
     (["synth", "{out}", "--frames", "3", "--grade", "1e300"], None, "--grade 1e+300"),
     (["temporal-demo", "--grade", "1e300"], None, "--grade 1e+300, --frames 120: elevation polynomial"),
+    (["synth", "{out}", "--frames", "3", "--curvature", "0", "0", "1e10"], None,
+     "--curvature (0.0, 0.0, 10000000000.0), --grade 0.0, --lane-length 400.0: consecutive trajectory"),
+    (["temporal-demo", "--frames", "3", "--grade", "100"], None,
+     "--grade 100.0: frame 0: a lane cannot be fitted in y [3, 103] m: need at least 20 samples, got 2"),
+    (["temporal-demo", "--frames", "3", "--grade", "1e6"], None, "--grade 1000000.0: frame 0: no lane lies"),
+    (["spline", "--input", "{scene}.gt.jsonl", "--samples", "10001"], None,
+     "--samples must lie in [4, 10000], got 10001"),
+    (["spline", "--input", "{scene}.gt.jsonl", "--control-points", "101"], None,
+     "--control-points must lie in [4, 100], got 101"),
 ], ids=["alpha-null", "weight-null", "curvature-object", "curvature-string", "unknown-key", "seed-float",
         "int-beyond-float", "overridden-entry-checked", "seed-bool", "path-key", "near-range-nan", "gate-nan",
         "station-spacing-zero", "station-spacing-negative", "pixel-noise-nan", "lane-spacing-nan",
@@ -698,7 +707,9 @@ def test_temporal_demo_records_its_weights(tmp_path, capsys):
         "lane-end-shortens-last-step", "zero-near-range", "autolabel-negative-label-range", "zero-gate",
         "negative-min-hits", "negative-occlusion-start", "negative-occlusion-frames",
         "spline-too-few-samples", "spline-empty-y-range", "eval-zero-y-step", "eval-grid-overflow",
-        "synth-curvature-overflow", "synth-grade-overflow", "demo-grade-overflow"])
+        "synth-curvature-overflow", "synth-grade-overflow", "demo-grade-overflow", "synth-steps-rounded-away",
+        "demo-grade-too-few-samples", "demo-grade-no-lane", "spline-too-many-samples",
+        "spline-too-many-control-points"])
 def test_bad_option_fails_naming_it(tmp_path, capsys, scene, argv, config, option):
     out = str(tmp_path / "out")
     argv = [arg.format(scene=scene, out=out) for arg in argv]

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
+from lanekit.assignment import gated_assignment
 from lanekit.metrics import (
     EvalAccumulator,
     FrameMatch,
     MatchConfig,
     MatchedPair,
+    _chamfer_matches,
     f1_score,
     match_lanes,
     resample_on_grid,
@@ -398,6 +400,91 @@ class TestChamferKernel:
             predicted = lane(rng.normal(0, 3), y_lo=rng.uniform(0, 50), n=int(rng.integers(1, 60)))
             predicted[:, :3] += rng.normal(0, 0.05, size=(len(predicted), 3))
             assert unilateral_chamfer(target, predicted) == norm_chamfer(target, predicted)
+
+
+def every_pair_chamfer_matches(pred_lanes, gt_lanes, tau):
+    """Reference: every pair's chamfer distance computed, then the gated assignment."""
+    cd = np.array([[unilateral_chamfer(gt, pred) for pred in pred_lanes] for gt in gt_lanes])
+    cd = cd.reshape(len(gt_lanes), len(pred_lanes))
+    return sorted(cd[gated_assignment(cd, cd < tau)].tolist())
+
+
+def readme_like_frame(rng):
+    """Four curved, graded lanes 3.5 m apart sampled every 0.5 m to 250 m, and
+    predictions: some near a lane on the same samples, some every 2 m, some short."""
+    y = np.arange(0.0, 250.5, 0.5)
+    gts = [np.column_stack([k * 3.5 + 5e-4 * y ** 2, y, 0.05 * y, np.ones_like(y)]) for k in range(-2, 2)]
+    preds = []
+    for gt in gts:
+        kind = rng.integers(3)
+        pred = gt[::4] if kind == 1 else gt[: int(rng.integers(2, len(gt)))] if kind == 2 else gt
+        pred = pred.copy()
+        pred[:, :3] += rng.normal(0.0, rng.choice([0.02, 0.1, 0.3]), size=(len(pred), 3))
+        preds.append(pred)
+    keep = rng.random(len(preds)) < 0.8
+    return [p for p, k in zip(preds, keep) if k], gts[: int(rng.integers(1, 5))]
+
+
+def spaced_target(n, offsets):
+    """An n-sample target 100 m apart in y and a prediction on the same samples,
+    shifted in x by `offsets` (zero elsewhere), so each sample's nearest distance is its offset."""
+    gt = np.zeros((n, 4))
+    gt[:, 1] = 100.0 * np.arange(n)
+    pred = gt.copy()
+    pred[: len(offsets), 0] = offsets
+    return gt, pred
+
+
+class TestChamferBound:
+    """`_chamfer_matches` skips pairs by a lower bound and still returns, bit for bit,
+    what computing every pair returns."""
+
+    def test_readme_like_frames(self):
+        rng = np.random.default_rng(3)
+        matched = 0
+        for _ in range(30):
+            preds, gts = readme_like_frame(rng)
+            expected = every_pair_chamfer_matches(preds, gts, 0.3)
+            assert _chamfer_matches(preds, gts, 0.3) == expected
+            matched += len(expected)
+        assert matched > 0
+
+    def test_shuffled_predictions_and_empty_frames(self):
+        rng = np.random.default_rng(4)
+        preds, gts = readme_like_frame(rng)
+        for order in (rng.permutation(len(preds)) for _ in range(5)):
+            shuffled = [preds[i] for i in order]
+            assert _chamfer_matches(shuffled, gts, 0.3) == every_pair_chamfer_matches(shuffled, gts, 0.3)
+        for pred_lanes, gt_lanes in (([], gts), (preds, []), ([], [])):
+            assert _chamfer_matches(pred_lanes, gt_lanes, 0.3) == []
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 7, 8])
+    def test_target_no_longer_than_the_stride(self, n):
+        # the bound is then the first sample's distance over n
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            gt, pred = spaced_target(n, rng.uniform(0.0, 2.0, n))
+            tau = rng.uniform(0.05, 1.0)
+            assert _chamfer_matches([pred], [gt], tau) == every_pair_chamfer_matches([pred], [gt], tau)
+
+    def test_distance_within_1e_12_of_tau(self):
+        # Only the strided samples are off the prediction, so bound and distance sum the same
+        # values in another order and round apart; taus around the distance include ones
+        # between the distance and a bound rounded above it, which the margin must admit.
+        rng = np.random.default_rng(5)
+        bound_above = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 60))
+            gt, pred = spaced_target(n, np.zeros(n))
+            pred[::8, 0] = rng.uniform(0.1, 3.0, len(pred[::8]))
+            cd = unilateral_chamfer(gt, pred)
+            bound = unilateral_chamfer(gt[::8], pred) * len(gt[::8]) / n
+            bound_above += bound > cd
+            for tau in (cd, np.nextafter(cd, np.inf), np.nextafter(cd, -np.inf), np.nextafter(bound, np.inf),
+                         cd + 1e-13, cd - 1e-13, cd + 1e-12, cd - 1e-12):
+                tau = float(tau)
+                assert _chamfer_matches([pred], [gt], tau) == every_pair_chamfer_matches([pred], [gt], tau)
+        assert bound_above > 0
 
 
 class TestAccumulator:

@@ -25,6 +25,56 @@ class TestEgoPose:
         with pytest.raises(ValueError):
             EgoPose(m)
 
+    def test_accepts_exactly_what_allclose_accepts(self):
+        def accepted(m):
+            try:
+                EgoPose(m)
+            except ValueError:
+                return False
+            return True
+
+        def allclose_rule(m):
+            r = m[:3, :3]
+            return (np.allclose(m[3], [0.0, 0.0, 0.0, 1.0], atol=1e-9)
+                    and np.allclose(r.T @ r, np.eye(3), atol=1e-9))
+
+        def around(value, count=4):
+            """`value` and its `count` nearest floats on either side."""
+            return [value + k * np.spacing(value) for k in range(-count, count + 1)]
+
+        # Entries 1 ulp and more either side of the 1e-9 and 1e-9 + 1e-5 * 1 tolerances: in the
+        # bottom row, an off-diagonal rotation entry (R^T R holds it exactly) and a diagonal
+        # entry d (R^T R holds d * d).
+        groups = []
+        for sign in (1.0, -1.0):
+            groups += [[(3, k, v) for v in around(sign * 1e-9)] for k in range(3)]
+            groups.append([(3, 3, v) for v in around(1.0 + sign * (1e-9 + 1e-5))])
+            groups.append([(0, 1, v) for v in around(sign * 1e-9)])
+            groups.append([(0, 0, v) for v in around(np.sqrt(1.0 + sign * (1e-9 + 1e-5)))])
+        for group in groups:
+            verdicts = set()
+            for i, j, v in group:
+                m = np.eye(4)
+                m[i, j] = v
+                assert accepted(m) == allclose_rule(m), (i, j, v)
+                verdicts.add(accepted(m))
+            assert verdicts == {True, False}
+        for v in (np.nan, np.inf, -np.inf):
+            for i, j in ((3, 0), (3, 3), (0, 0), (1, 2), (0, 3)):
+                m = np.eye(4)
+                m[i, j] = v
+                with np.errstate(invalid="ignore"):  # inf * 0 in R^T R, on both sides
+                    assert accepted(m) == allclose_rule(m), (i, j, v)
+        rng = np.random.default_rng(2)
+        verdicts = set()
+        for _ in range(300):
+            m = random_pose(rng).matrix.copy()
+            assert accepted(m) and allclose_rule(m)
+            m[rng.integers(4), rng.integers(3)] += rng.normal() * 10.0 ** rng.uniform(-12, -2)
+            assert accepted(m) == allclose_rule(m)
+            verdicts.add(accepted(m))
+        assert verdicts == {True, False}
+
     def test_inverse_is_exact(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
