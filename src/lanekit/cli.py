@@ -45,8 +45,8 @@ def _fail(message: str) -> int:
 def _float(value, name: str) -> float:
     try:
         return float(frames._finite(value, name))
-    except OverflowError as exc:  # an int beyond the float range
-        raise ValueError(f"{name}: {exc}") from None
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(f"{name} must be a finite number, got {value!r}") from None
 
 
 def _floats(value, name: str) -> tuple:
@@ -54,7 +54,13 @@ def _floats(value, name: str) -> tuple:
 
 
 def _weights(value, name: str) -> dict:
-    return vars(losses.LossWeights.from_config(value))
+    if not isinstance(value, dict):
+        raise ValueError(f"{name}: expected a JSON object, got {type(value).__name__}")
+    weights = vars(losses.LossWeights())
+    unknown = sorted(set(value) - set(weights))
+    if unknown:
+        raise ValueError(f"{name}: unknown names {unknown}; known: {list(weights)}")
+    return weights | {key: _float(number, f"{name}: {key}") for key, number in value.items()}
 
 
 # The kinds that have a flag, with their argparse keywords.

@@ -87,8 +87,8 @@ class LaneFrame:
     camera: CameraModel | None = None
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# no record holds a reference cycle, so the per-list and per-dict cycle check is off
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
 
 
 def _camera_to_dict(cam: CameraModel) -> dict:
@@ -120,6 +120,16 @@ def _finite_matrix(values, name: str) -> np.ndarray:
     if not all(map(_is_finite, values)):
         raise SchemaError(f"{name} has non-finite entries; expected 16 finite numbers")
     return np.array(values, dtype=float).reshape(4, 4)
+
+
+def _lane_points(rows, name: str) -> np.ndarray:
+    """Rows of JSON numbers, all finite, as an array; np.array alone would take "1.5" and true."""
+    if not set(map(type, itertools.chain.from_iterable(rows))) <= {float, int}:
+        raise SchemaError(f"{name}: lane points must be JSON numbers")
+    points = np.array(rows, dtype=float)
+    if not np.isfinite(points).all():
+        raise SchemaError(f"{name}: non-finite lane points")
+    return points
 
 
 def _encode_points(points, columns: int) -> str:
@@ -180,11 +190,8 @@ def _frame_from_dict(d: dict) -> LaneFrame:
         timestamp_s = _finite(d["timestamp_s"], "timestamp_s")
         pose = EgoPose(_finite_matrix(d["ego_pose"], "ego_pose"))
         lanes = [Lane(lane_id=_int(l["id"], "lane id"), category=_int(l["category"], "lane category"),
-                      points=np.array(l["points"], dtype=float))
+                      points=_lane_points(l["points"], f"frame {frame_id} lane {l['id']}"))
                  for l in d["lanes"]]
-        for lane in lanes:
-            if not np.isfinite(lane.points).all():
-                raise ValueError(f"frame {frame_id} lane {lane.lane_id}: non-finite lane points")
         camera = _camera_from_dict(d["camera"]) if "camera" in d else None
         return LaneFrame(frame_id=frame_id, timestamp_s=timestamp_s,
                          pose=pose, lanes=lanes, camera=camera)

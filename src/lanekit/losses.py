@@ -16,7 +16,6 @@ frame-to-frame association uses its gated rule, `gated_assignment`.
 
 from __future__ import annotations
 
-import sys
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -231,21 +230,6 @@ class LossWeights:
     spatial_smooth: float = 0.1
     spatial_curvature: float = 0.1
     temporal: float = 0.1
-
-    @classmethod
-    def from_config(cls, values) -> "LossWeights":
-        """Weights from a config mapping of field names to finite numbers; others keep defaults."""
-        if not isinstance(values, dict):
-            raise ValueError(f"weights: expected a JSON object, got {type(values).__name__}")
-        names = [f.name for f in fields(cls)]
-        unknown = sorted(set(values) - set(names))
-        if unknown:
-            raise ValueError(f"weights: unknown names {unknown}; known: {names}")
-        for name, value in values.items():
-            # the bound also rejects NaN, infinities and ints beyond the float range
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-                raise ValueError(f"weights: {name} must be a finite number, got {value!r}")
-        return cls(**values)
 
 
 @dataclass

@@ -37,6 +37,8 @@ class EgoPose:
             raise ValueError(f"pose must be 4x4, got {m.shape}")
         if not (abs(m[3] - _BOTTOM_ROW) <= _BOTTOM_ROW_TOL).all():
             raise ValueError("pose bottom row must be (0, 0, 0, 1)")
+        if not np.isfinite(m[:3]).all():
+            raise ValueError("pose has non-finite entries")
         r = m[:3, :3]
         if not (abs(r.T @ r - _IDENTITY) <= _IDENTITY_TOL).all():
             raise ValueError("pose rotation is not orthonormal")

@@ -202,16 +202,32 @@ def write_non_finite_prediction(tmp_path, bad):
     return path
 
 
-@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
-@pytest.mark.parametrize("argv", [
+# the commands that read a lane file named {pred}, writing {dir}/out.json
+LANE_READERS = [
     ["eval", "--pred", "{pred}", "--gt", "{dir}/scene.gt.jsonl", "--out", "{dir}/out.json"],
     ["spline", "--input", "{pred}", "--out", "{dir}/out.json", "--y-start", "0", "--y-end", "100"],
-])
+]
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+@pytest.mark.parametrize("argv", LANE_READERS)
 def test_non_finite_lane_point_fails_cleanly(tmp_path, capsys, bad, argv):
     pred = write_non_finite_prediction(tmp_path, bad)
     code = main([arg.format(pred=pred, dir=tmp_path) for arg in argv])
     assert code == 2
     assert "frame 1 lane 0: non-finite lane points" in json.loads(capsys.readouterr().err)["error"]
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("bad", ['"1.5"', "true", "[1.0]"])
+@pytest.mark.parametrize("argv", LANE_READERS)
+def test_lane_point_that_is_not_a_number_fails_cleanly(tmp_path, capsys, bad, argv):
+    # the x written as 1.25 is swapped in the text, as no Lane can hold `bad`
+    pred = write_non_finite_prediction(tmp_path, 1.25)
+    pred.write_text(pred.read_text().replace("[1.25,", f"[{bad},", 1))
+    code = main([arg.format(pred=pred, dir=tmp_path) for arg in argv])
+    assert code == 2
+    assert "frame 1 lane 0: lane points must be JSON numbers" in json.loads(capsys.readouterr().err)["error"]
     assert not (tmp_path / "out.json").exists()
 
 

@@ -18,6 +18,7 @@ from lanekit.frames import (
     LaneFrame,
     SchemaError,
     _decode_points,
+    _dump,
     _encode_points,
     iter_detections,
     iter_lane_frames,
@@ -197,6 +198,9 @@ class TestStrictInput:
         ("ego_pose", [True] * 16, "ego_pose has non-finite entries"),
         ("camera extrinsic", ["1"] * 16, "camera extrinsic has non-finite entries"),
         ("camera extrinsic", [True] * 16, "camera extrinsic has non-finite entries"),
+        ("lane points", [["1.5", 5.0, 0.0, 1.0], [0.0, 6.0, 0.0, 1.0]], "frame 1 lane 0: lane points must be"),
+        ("lane points", [[0.0, 5.0, 0.0, True], [0.0, 6.0, 0.0, 1.0]], "frame 1 lane 0: lane points must be"),
+        ("lane points", [[[1.0], 5.0, 0.0, 1.0], [0.0, 6.0, 0.0, 1.0]], "frame 1 lane 0: lane points must be"),
     ])
     def test_lane_frame_field_types_rejected(self, tmp_path, field, value, message):
         path = tmp_path / "frames.jsonl"
@@ -419,3 +423,17 @@ class TestTrajectoryCamera:
         with pytest.raises(SchemaError) as caught:
             read_camera(path)
         assert str(caught.value) == f"{path}: malformed camera file: {message}"
+
+
+# JSON documents: ints past 2**63, floats including -0.0, subnormals, NaN and infinities, unicode
+JSON_DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(2**63 - 2, 2**80)
+    | st.floats() | st.sampled_from([-0.0, 5e-324, -2.2e-308]) | st.text(),
+    lambda children: st.lists(children, max_size=5) | st.dictionaries(st.text(), children, max_size=5),
+    max_leaves=40)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(JSON_DOCUMENTS)
+def test_dump_is_canonical_json_dumps(document):
+    assert _dump(document) == json.dumps(document, sort_keys=True, separators=(",", ":"))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,17 @@ class TestEgoPose:
         with pytest.raises(ValueError):
             EgoPose(m)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [(0, 3), (1, 3), (2, 3), (0, 0), (1, 2)],
+                             ids=["tx", "ty", "tz", "r00", "r12"])
+    def test_rejects_non_finite_entries_without_a_warning(self, entry, bad):
+        m = np.eye(4)
+        m[entry] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="pose has non-finite entries"):
+                EgoPose.from_parts(m[:3, :3], m[:3, 3])
+
     def test_accepts_exactly_what_allclose_accepts(self):
         def accepted(m):
             try:
@@ -35,7 +48,7 @@ class TestEgoPose:
 
         def allclose_rule(m):
             r = m[:3, :3]
-            return (np.allclose(m[3], [0.0, 0.0, 0.0, 1.0], atol=1e-9)
+            return (np.isfinite(m[:3, 3]).all() and np.allclose(m[3], [0.0, 0.0, 0.0, 1.0], atol=1e-9)
                     and np.allclose(r.T @ r, np.eye(3), atol=1e-9))
 
         def around(value, count=4):
