@@ -30,9 +30,9 @@ from .splines import basis_matrix
 _CHUNK_ELEMENTS = 1 << 15
 
 
-def _query_chunks(n_queries: int, per_query: int):
-    """Query slices of _CHUNK_ELEMENTS // per_query rows each (at least one)."""
-    step = max(1, _CHUNK_ELEMENTS // max(per_query, 1))
+def _query_chunks(n_queries: int, per_query: int, elements: int):
+    """Query slices of elements // per_query rows each (at least one)."""
+    step = max(1, elements // max(per_query, 1))
     return (slice(lo, lo + step) for lo in range(0, n_queries, step))
 
 
@@ -82,7 +82,7 @@ def neighbor_line_index(points: np.ndarray) -> np.ndarray:
     lane_start = np.arange(n)[:, None] * m
     other_lane = np.repeat(np.arange(n), m)[:, None] != np.arange(n)
     index = np.empty((n * m, 2 * (n - 1)), dtype=np.intp)
-    for rows in _query_chunks(n * m, 2 * n * m):
+    for rows in _query_chunks(n * m, 2 * n * m, _CHUNK_ELEMENTS):
         # (chunk, 1, 2) @ (chunk, 2, n*m) gives each query's tangent offsets
         # with the same products and sums as (lane_points - q) @ t per lane.
         offsets = xy_t - xy[rows, :, None]
@@ -120,7 +120,7 @@ def memory_index(query_points: np.ndarray, memory_points: np.ndarray,
     queries = np.ascontiguousarray(query_points[:, :3].T)
     memory = np.ascontiguousarray(memory_points[:, :3].T)
     index = np.empty((n_q, degree), dtype=np.intp)
-    for rows in _query_chunks(n_q, n_k):
+    for rows in _query_chunks(n_q, n_k, _CHUNK_ELEMENTS):
         # Summed per coordinate in x, y, z order: the same arithmetic as
         # np.linalg.norm over the last axis, without a (rows, n_k, 3) array.
         dist = np.zeros((queries[0, rows].size, n_k))
@@ -283,7 +283,7 @@ def gather_attention(queries: np.ndarray, keys: np.ndarray, values: np.ndarray,
     def per_head(x, rows):  # (rows, heads, degree, head_dim)
         return x[index[rows]].reshape(-1, degree, heads, head_dim).transpose(0, 2, 1, 3)
 
-    for rows in _query_chunks(r, 2 * degree * c):
+    for rows in _query_chunks(r, 2 * degree * c, _CHUNK_ELEMENTS):
         k = per_head(keys, rows)
         v = k if values is keys else per_head(values, rows)
         q = queries[rows].reshape(-1, heads, head_dim, 1) / np.sqrt(head_dim)

@@ -28,13 +28,22 @@ point.  Neither changes any output:
   window, so the result is exact, also where the trajectory comes back
   near an old segment.  A ray with dir_y <= 0 has no such bound, and its
   frame scans every segment.
+* The window also leaves out a segment that ends more than 1e-6 behind
+  the camera, along its own direction d_k, if every ray moves forward
+  along it.  With a the vehicle's forward axis and m the least dir_y of
+  the frame's rays, a unit ray direction d has d.d_k >= m - |d_k - a|.
+  Where that is above 1e-6, which covers the 1e-9 by which a pose
+  rotation may miss orthonormality, a hit at t > 0 lies further along
+  the segment than the camera, past the segment's end, and is never
+  valid.  A forward camera's window loses the segments behind the
+  vehicle, about half of it.
 * Within the window, a ray is intersected only if some segment's plane
   crossing t = n.(p_k - o) / n.d can satisfy 0 < t <= B, with
   B = t_max (1 + 1e-9) + 1e-6; rays with dir_y <= 0 keep t_max = inf.
   The test multiplies instead of dividing: with the sign of the
   numerator folded into the normal, f = sign(n.(p_k - o)) n.d, it keeps
   the ray if B (f + 1e-14) >= |n.(p_k - o)|.  The numerators are the
-  ones `_intersect_rays` computes.  Its denominators come from another
+  ones `_intersect_rays` uses.  Its denominators come from another
   evaluation order, but for unit vectors the two differ by far less
   than 1e-14.  A valid hit needs |n.d| above the parallel threshold and
   t > 1e-9, so f > 0, and every valid hit of a skipped ray has t > B up
@@ -45,6 +54,14 @@ point.  Neither changes any output:
   drops it anyway.  `_intersect_rays` treats each row on its own, so
   the rows it is given come out bit-identical, and skipped rows stay
   NaN.
+* Before that per-segment test, each ray is tested against all segments
+  at once.  With s the first segment's signed normal and spread the
+  largest |s_k - s| over the window, f <= s.d + spread for every
+  segment, so a ray with B (s.d + spread + 2e-14) below the smallest
+  |n.(p_k - o)| fails the per-segment test and is dropped first; the
+  second 1e-14 covers the rounding of s.d and spread.  Where the
+  window's planes share one orientation, spread is about 1e-16, and the
+  per-segment test sees only the rays that it keeps.
 * Locating points prunes segments with the triangle inequality
   dist(p, seg) >= dist(c, seg) - |p - c| around the points' centroid c;
   a pruned segment is strictly farther than the nearest one, so the
@@ -55,13 +72,21 @@ point.  Neither changes any output:
   line gets the (arclength, offset) that its own call would give.
 
 The kernels keep x, y and z as separate planes: (segments, rays) for
-rays and (points, segments) for points.  None of them builds a
-rays x segments or points x segments array with a trailing axis of 3,
-and the crossing pre-filter updates its one (segments, rays) array in
-place.  Results equal the `np.einsum` and `np.linalg.norm` forms bit for
-bit, because the planes are added in the same order (`_dot3`, `_norm3`):
-a three-term sum as einsum's (x + z) + y, plus +0.0 since einsum's sum
-never ends at -0.0, and a norm as (x^2 + y^2) + z^2.
+rays and (points, segments) for points, none with a trailing axis of 3.
+They take rays and points in blocks of at most `_BLOCK_ELEMENTS` (4,096)
+pairs, so a plane holds at most 32 KB of float64 whatever the frame, and
+each row is computed as a whole plane computes it, so the block size
+moves no bit.  A plane that grows with the frame is, once freed, either
+unmapped (above glibc's 128 KB mmap threshold) or trimmed off the top of
+the heap, and the next frame faults its pages back in, at a cost that
+follows unrelated heap layout.  Blocks far below the mmap threshold are
+reused from the heap's free lists instead: at 8,192 pairs a block the
+`long-drive` autolabel child's page faults still followed the length of
+PYTHONPATH, and at 4,096 they did not.  Results equal the `np.einsum`
+and `np.linalg.norm` forms bit for bit, because the planes are added in
+the same order (`_dot3`, `_norm3`): a three-term sum as einsum's
+(x + z) + y, plus +0.0 since einsum's sum never ends at -0.0, and a norm
+as (x^2 + y^2) + z^2.
 """
 
 from __future__ import annotations
@@ -71,13 +96,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assignment import gated_assignment, masked_mean
+from .attention import _query_chunks
 from .temporal import EgoPose, apply_transform, rigid_inverse
 
 _PARALLEL_EPS = 1e-12
 _WINDOW_SLACK = 1e-6  # m; widens segment windows past floating-point rounding
 _DOT_SLACK = 1e-14  # bounds the rounding gap between two evaluations of a unit-vector dot product
+_HEADING_SLACK = 1e-6  # covers the 1e-9 by which a pose rotation may miss orthonormality
 _MIN_DEPTH = 0.1  # m; camera-frame depth a point needs to project
 _LABEL_STEP = 2.0  # m between label points along local y
+# (segment, ray) or (point, segment) pairs per block: 32 KB of float64 per plane (module docstring)
+_BLOCK_ELEMENTS = 1 << 12
 
 
 def _planes(a: np.ndarray) -> np.ndarray:
@@ -195,7 +224,8 @@ class SurfaceModel:
     `segments_within` keeps every segment whose validity strip can come
     within a radius of a point, because the along-track gap between the
     point and a segment's span is a lower bound on the distance to any
-    point of the strip; `locate` keeps every segment that the triangle
+    point of the strip, less the segments that end behind the point
+    along which every ray moves forward; `locate` keeps every segment that the triangle
     inequality cannot rule out as the nearest.  Both windows are
     supersets of what the query can return, so results equal a scan
     over all segments.
@@ -231,22 +261,30 @@ class SurfaceModel:
         t = s - self.arclength[k]
         return self.origins[k] + t[:, None] * self.directions[k], self.directions[k], self.laterals[k]
 
-    def segments_within(self, point: np.ndarray, radius: float) -> np.ndarray:
-        """Sorted indices of the segments whose validity strip may lie within `radius` of `point`."""
+    def segments_within(self, point: np.ndarray, radius: float, forward: np.ndarray,
+                        least: float) -> np.ndarray:
+        """Sorted indices of the segments whose validity strip may lie within
+        `radius` of `point` and may hold a hit of a ray from `point` whose
+        unit direction d has d.forward >= `least` (see the module docstring)."""
         lo, hi = self.spans()
         along = np.einsum("kc,kc->k", point - self.origins, self.directions)
-        gap = np.maximum(lo - along, along - hi)
-        return np.flatnonzero(gap <= radius + _WINDOW_SLACK)
+        near = np.maximum(lo - along, along - hi) <= radius + _WINDOW_SLACK
+        behind = (along - hi > _WINDOW_SLACK) & (least - np.linalg.norm(self.directions - forward, axis=1)
+                                                  > _HEADING_SLACK)
+        return np.flatnonzero(near & ~behind)
 
-    def _closest(self, points, segments: np.ndarray):
-        """Per point and segment, as (points, segments) planes: the clamped
-        along-track parameter and the distance to the clamped span.
-        `points` holds the x, y and z columns, each (points, 1)."""
+    def _closest(self, points: np.ndarray, segments: np.ndarray):
+        """Per block of at most `_BLOCK_ELEMENTS` (point, segment) pairs of
+        the (3, n) x, y and z rows `points`: (rows, along, dist), where
+        along is the clamped along-track parameter and dist the distance
+        to the clamped span, both (rows, segments) planes."""
         origins, directions = _planes(self.origins[segments]), _planes(self.directions[segments])
         lo, hi = (b[segments] for b in self.spans())
-        along = _dot3([p - o for p, o in zip(points, origins)], directions)
-        np.clip(along, lo, hi, out=along)
-        return along, _norm3([p - (o + along * d) for p, o, d in zip(points, origins, directions)])
+        for rows in _query_chunks(points.shape[1], segments.size, _BLOCK_ELEMENTS):
+            block = points[:, rows, None]
+            along = _dot3([p - o for p, o in zip(block, origins)], directions)
+            np.clip(along, lo, hi, out=along)
+            yield rows, along, _norm3([p - (o + along * d) for p, o, d in zip(block, origins, directions)])
 
     def locate(self, points: np.ndarray):
         """Project world points onto the trajectory: (arclength, lateral offset) per point.
@@ -263,14 +301,16 @@ class SurfaceModel:
         if pts.shape[0]:
             center = pts.mean(axis=0)[:, None]
             radius = _norm3(planes - center).max()
-            to_center = self._closest(center[:, :, None], segments)[1][0]
+            to_center = next(self._closest(center, segments))[2][0]
             near = np.flatnonzero(to_center <= to_center.min() + 2.0 * radius + _WINDOW_SLACK)
             if near.size:  # empty only for non-finite points
                 segments = near
-        along, dist = self._closest(planes[:, :, None], segments)
-        nearest = np.argmin(dist, axis=1)
-        seg = segments[nearest]
-        lam = self.arclength[seg] + along[np.arange(pts.shape[0]), nearest]
+        seg, along = np.empty(pts.shape[0], dtype=int), np.empty(pts.shape[0])
+        for rows, block_along, dist in self._closest(planes, segments):
+            nearest = np.argmin(dist, axis=1)
+            seg[rows] = segments[nearest]
+            along[rows] = block_along[np.arange(nearest.size), nearest]
+        lam = self.arclength[seg] + along
         offset = _dot3(planes - self.origins[seg].T, self.laterals[seg].T)
         return lam, offset
 
@@ -308,45 +348,76 @@ def _world_rays(cam: CameraModel, pixels, pose: EgoPose):
     return apply_transform(pose.matrix, origin_v[None, :]), dirs_v @ pose.rotation.T, dirs_v
 
 
-def _plane_numerators(surf: SurfaceModel, origins: np.ndarray, segments) -> np.ndarray:
-    """n.(p_k - o) of the segment planes, (k, rays or 1): the numerators of
-    the ray parameters t = n.(p_k - o) / n.d where rays cross the planes."""
-    rel = _planes(surf.origins[segments])[:, :, None] - np.atleast_2d(origins).T[:, None, :]
+def _plane_numerators(surf: SurfaceModel, origin: np.ndarray, segments) -> np.ndarray:
+    """n.(p_k - o) of the segment planes for the rays' shared (1, 3) origin o,
+    as a (k, 1) column: the numerators of the ray parameters t = n.(p_k - o) / n.d
+    where the rays cross the planes."""
+    rel = _planes(surf.origins[segments])[:, :, None] - origin.T[:, None, :]
     return _dot3(rel, _planes(surf.normals[segments])[:, :, None])
 
 
-def _intersect_rays(surf: SurfaceModel, origins: np.ndarray, directions: np.ndarray,
-                    segments=slice(None)):
+def _intersect_rays(surf: SurfaceModel, origin: np.ndarray, directions: np.ndarray,
+                    segments=slice(None), numer=None):
     """Vectorized nearest valid ray-plane hit per ray; NaN rows where none exists.
 
     Only `segments` (sorted indices; default all) are tested, and ties
-    go to the lowest index.  `origins` is (rays, 3) or one shared
-    (1, 3) origin.  Validity means the hit's along-track parameter falls
-    inside the segment span (`SurfaceModel.spans`).  Every quantity is a
-    (segments, rays) plane; only the chosen hit of each ray is built.
+    go to the lowest index.  The rays share the (1, 3) `origin`, and
+    `numer` is its `_plane_numerators`, computed here if not given.
+    Validity means the hit's along-track parameter falls inside the
+    segment span (`SurfaceModel.spans`).  Rays are taken in blocks of at
+    most `_BLOCK_ELEMENTS` (segment, ray) pairs; every quantity of a
+    block is a (segments, rays) plane, and only the chosen hit of each
+    ray is built.
     """
-    o = np.atleast_2d(origins)
     d = np.atleast_2d(directions)
     seg_origins, seg_dirs, normals = (_planes(a[segments])[:, :, None]
                                       for a in (surf.origins, surf.directions, surf.normals))
+    out = np.full(d.shape, np.nan)
     if normals.shape[1] == 0:
-        return np.full(d.shape, np.nan)
+        return out
+    if numer is None:
+        numer = _plane_numerators(surf, origin, segments)
     lo, hi = (b[segments][:, None] for b in surf.spans())
-    ray_origins, ray_dirs = o.T[:, None, :], _planes(d)[:, None, :]
-    denom = _dot3(normals, ray_dirs)
-    numer = _plane_numerators(surf, o, segments)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_hit = numer / denom
-    ok = (np.abs(denom) > _PARALLEL_EPS) & (t_hit > 1e-9)
-    t_safe = np.where(np.isfinite(t_hit), t_hit, 0.0)
-    along = _dot3([r + t_safe * u - s for r, u, s in zip(ray_origins, ray_dirs, seg_origins)], seg_dirs)
-    ok &= (along >= lo - 1e-9) & (along <= hi + 1e-9)
-    t_valid = np.where(ok, t_hit, np.inf)
-    best = np.argmin(t_valid, axis=0)
-    rays = np.arange(d.shape[0])
-    out = o + t_safe[best, rays][:, None] * d
-    out[~np.isfinite(t_valid[best, rays])] = np.nan
+    lo, hi = lo - 1e-9, hi + 1e-9
+    ray_origin = origin.T[:, :, None]
+    for rays in _query_chunks(d.shape[0], normals.shape[1], _BLOCK_ELEMENTS):
+        ray_dirs = _planes(d[rays])[:, None, :]
+        denom = _dot3(normals, ray_dirs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_hit = numer / denom
+        ok = (np.abs(denom) > _PARALLEL_EPS) & (t_hit > 1e-9)
+        t_safe = np.where(np.isfinite(t_hit), t_hit, 0.0)
+        along = _dot3([r + t_safe * u - s for r, u, s in zip(ray_origin, ray_dirs, seg_origins)], seg_dirs)
+        ok &= (along >= lo) & (along <= hi)
+        t_valid = np.where(ok, t_hit, np.inf)
+        best = np.argmin(t_valid, axis=0), np.arange(t_valid.shape[1])  # (segment, ray) of each hit
+        hits = origin + t_safe[best][:, None] * d[rays]
+        hits[~np.isfinite(t_valid[best])] = np.nan
+        out[rays] = hits
     return out
+
+
+def _crossing_rays(numer: np.ndarray, normals: np.ndarray, dirs: np.ndarray, bound: np.ndarray):
+    """Sorted indices of the rays that may cross a plane at 0 < t <= their
+    `bound` B: the ones with B (f + slack) >= |numer| for some segment,
+    where f = sign(numer) n.d (see the module docstring).  `numer` and
+    `normals` are the window's (segments, 1) numerators and (segments, 3)
+    normals, `dirs` the (rays, 3) unit directions."""
+    if not len(numer):
+        return np.zeros(0, dtype=int)
+    signed, reach = np.sign(numer) * normals, np.abs(numer)
+    # f <= s.d + spread for every segment, with s the first signed normal: a ray that fails
+    # with that bound and the smallest |numer| fails for every segment
+    spread = np.linalg.norm(signed - signed[0], axis=1).max()
+    with np.errstate(invalid="ignore"):  # inf * 0: a ray without a bound, where the factor is 0
+        rays = np.flatnonzero(bound * (dirs @ signed[0] + spread + 2.0 * _DOT_SLACK) >= reach.min())
+        crosses = np.empty(rays.size, dtype=bool)
+        for block in _query_chunks(rays.size, len(numer), _BLOCK_ELEMENTS):
+            facing = signed @ dirs[rays[block]].T  # (segments, rays)
+            facing += _DOT_SLACK
+            facing *= bound[rays[block]]
+            crosses[block] = (facing >= reach).any(axis=0)
+    return rays[crosses]
 
 
 def lift_detections(detections, cam: CameraModel, pose: EgoPose, surf: SurfaceModel,
@@ -369,15 +440,10 @@ def lift_detections(detections, cam: CameraModel, pose: EgoPose, surf: SurfaceMo
     dir_y = dirs_v[:, 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         t_max = np.where(dir_y > 0, (near_range - cam.extrinsic[1, 3]) / dir_y, np.inf)
-    window = surf.segments_within(origin_w[0], np.max(t_max))
+    window = surf.segments_within(origin_w[0], np.max(t_max), pose.rotation[:, 1], dir_y.min())
     numer = _plane_numerators(surf, origin_w, window)
-    # t = |numer| / facing, with the sign of numer folded into the normals; (segments, rays), in place
-    facing = (np.sign(numer) * surf.normals[window]) @ dirs_w.T
-    facing += _DOT_SLACK
-    with np.errstate(invalid="ignore"):  # inf * 0: a ray without a bound, where facing + slack is 0
-        facing *= t_max * (1.0 + 1e-9) + 1e-6
-    cast = np.flatnonzero((facing >= np.abs(numer)).any(axis=0))
-    hits = _intersect_rays(surf, origin_w, dirs_w[cast], window)
+    cast = _crossing_rays(numer, surf.normals[window], dirs_w, t_max * (1.0 + 1e-9) + 1e-6)
+    hits = _intersect_rays(surf, origin_w, dirs_w[cast], window, numer)
     found = ~np.isnan(hits).any(axis=1)
     cast, hits = cast[found], hits[found]
     ahead = apply_transform(pose.inverse_matrix(), hits)[:, 1]

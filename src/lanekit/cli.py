@@ -194,9 +194,10 @@ def _config(cls, config: dict, **options):
 
 
 def cmd_synth(args, config: dict) -> int:
-    # the bounds in OPTIONS hold every rule of SceneSpec but the one on its polynomials, and
-    # gen_scene fails when a polynomial puts the drive so far out that its steps round away
-    with _naming(config, "curvature", "grade", "lane-length"):
+    # the bounds in OPTIONS hold every rule of SceneSpec but the ones on its outer lane offset
+    # and its polynomials, and gen_scene fails when the drive's steps round away: too short a
+    # step, or a polynomial that puts the drive so far out
+    with _naming(config, "num-lanes", "lane-spacing", "curvature", "grade", "lane-length"):
         spec = synth.SceneSpec(
             num_lanes=config["num-lanes"],
             lane_spacing=config["lane-spacing"],
@@ -208,6 +209,7 @@ def cmd_synth(args, config: dict) -> int:
             seed=config["seed"],
             lane_length=config["lane-length"],
         )
+    with _naming(config, "speed", "frame-interval", "curvature", "grade", "lane-length"):
         world = synth.gen_scene(spec)
     noise, y_max = config["pixel-noise"], config["label-range"]
     cam = CameraModel.level_camera()
@@ -236,8 +238,9 @@ def cmd_autolabel(args, config: dict) -> int:
     cam = frames.read_camera(args.camera)
     _, det_frames = frames.iter_detections(args.detections)
     surf = build_surface(traj)
-    tracker = LineTracker(surf, station_spacing=config["station-spacing"], gate=config["gate"],
-                          min_hits=config["min-hits"], lead=label_range + 30.0)
+    with _naming(config, "station-spacing", "label-range"):  # they set the station count
+        tracker = LineTracker(surf, station_spacing=config["station-spacing"], gate=config["gate"],
+                              min_hits=config["min-hits"], lead=label_range + 30.0)
     # Labels need every frame's detections tracked first; keep only what emission needs.
     frame_times = []
     for frame_id, timestamp, detections in det_frames:
@@ -408,7 +411,7 @@ def cmd_temporal_demo(args, config: dict) -> int:
     weights = losses.LossWeights(**config["weights"])
     curve_cfg = splines.CurveConfig(m=config["control-points"], y_start=3.0, y_end=103.0)
     # the lane covers the drive (1 m a frame), the curves' reach past the last pose and a margin
-    with _naming(config, "grade", "frames"):
+    with _naming(config, "lanes", "grade", "frames"):
         spec = synth.SceneSpec(num_lanes=config["lanes"], frames=config["frames"], seed=config["seed"],
                                curvature=(0.0,), elevation=(0.0, config["grade"]),
                                lane_length=max(400.0, config["frames"] + curve_cfg.y_end + 20.0))

@@ -5,7 +5,10 @@ Every file starts with (or contains) a header carrying the schema
 version of its kind (`SCHEMA_VERSIONS`) and the config that produced
 it; readers reject any other version and any header or document that is
 not a JSON object.  Serialization is canonical (sorted keys, fixed
-separators) so equal inputs produce byte-identical files.
+separators) so equal inputs produce byte-identical files.  Writers
+refuse what readers refuse: `write_lane_frames` raises SchemaError on
+lane points that are not a finite (n, 4) array, which JSON would hold as
+bare NaN or Infinity tokens.
 
 Detection files (schema version 2) store each detection's pixels as one
 string: the base64 of the little-endian float64 bytes of its (k, 2)
@@ -122,6 +125,22 @@ def _finite_matrix(values, name: str) -> np.ndarray:
     return np.array(values, dtype=float).reshape(4, 4)
 
 
+def _object(value, keys: set, name: str) -> dict:
+    """`value` if it is a JSON object with no key but `keys`, the ones the writer writes."""
+    if type(value) is not dict:
+        raise SchemaError(f"{name} must be a JSON object, got {type(value).__name__}")
+    if not value.keys() <= keys:
+        raise SchemaError(f"{name} has unknown keys {sorted(value.keys() - keys)}")
+    return value
+
+
+def _array(value, name: str) -> list:
+    """`value` if it is a JSON array."""
+    if type(value) is not list:
+        raise SchemaError(f"{name} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
 def _lane_points(rows, name: str) -> np.ndarray:
     """Rows of JSON numbers, all finite, as an array; np.array alone would take "1.5" and true."""
     if not set(map(type, itertools.chain.from_iterable(rows))) <= {float, int}:
@@ -132,14 +151,20 @@ def _lane_points(rows, name: str) -> np.ndarray:
     return points
 
 
-def _encode_points(points, columns: int) -> str:
-    """Base64 of the little-endian float64 bytes of an (n, columns) array, row by row."""
+def _finite_rows(points, columns: int, where: str = "") -> np.ndarray:
+    """`points` as a finite (n, columns) float array, as the writers take them;
+    a SchemaError prefixed with `where` otherwise."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != columns:
-        raise SchemaError(f"points must be an (n, {columns}) array, got shape {points.shape}")
+        raise SchemaError(f"{where}points must be an (n, {columns}) array, got shape {points.shape}")
     if not np.isfinite(points).all():
-        raise SchemaError("non-finite points")
-    return base64.b64encode(points.astype("<f8").tobytes()).decode("ascii")
+        raise SchemaError(f"{where}non-finite points")
+    return points
+
+
+def _encode_points(points, columns: int) -> str:
+    """Base64 of the little-endian float64 bytes of an (n, columns) array, row by row."""
+    return base64.b64encode(_finite_rows(points, columns).astype("<f8").tobytes()).decode("ascii")
 
 
 def _decode_points(text, columns: int) -> np.ndarray:
@@ -175,7 +200,8 @@ def _frame_to_dict(frame: LaneFrame) -> dict:
         "timestamp_s": frame.timestamp_s,
         "ego_pose": np.asarray(frame.pose.matrix).ravel().tolist(),
         "lanes": [
-            {"id": lane.lane_id, "category": lane.category, "points": lane.points.tolist()}
+            {"id": lane.lane_id, "category": lane.category,
+             "points": _finite_rows(lane.points, 4, f"frame {frame.frame_id} lane {lane.lane_id}: ").tolist()}
             for lane in frame.lanes
         ],
     }
@@ -186,13 +212,18 @@ def _frame_to_dict(frame: LaneFrame) -> dict:
 
 def _frame_from_dict(d: dict) -> LaneFrame:
     try:
+        _object(d, {"frame_id", "timestamp_s", "ego_pose", "lanes", "camera"}, "lane frame")
         frame_id = _int(d["frame_id"], "frame_id")
         timestamp_s = _finite(d["timestamp_s"], "timestamp_s")
         pose = EgoPose(_finite_matrix(d["ego_pose"], "ego_pose"))
-        lanes = [Lane(lane_id=_int(l["id"], "lane id"), category=_int(l["category"], "lane category"),
+        lanes = [Lane(lane_id=_int(_object(l, {"id", "category", "points"}, "lane")["id"], "lane id"),
+                      category=_int(l["category"], "lane category"),
                       points=_lane_points(l["points"], f"frame {frame_id} lane {l['id']}"))
-                 for l in d["lanes"]]
-        camera = _camera_from_dict(d["camera"]) if "camera" in d else None
+                 for l in _array(d["lanes"], "lanes")]
+        camera = None
+        if "camera" in d:
+            camera = _camera_from_dict(_object(d["camera"], {"fx", "fy", "cx", "cy", "width", "height",
+                                                             "extrinsic"}, "camera"))
         return LaneFrame(frame_id=frame_id, timestamp_s=timestamp_s,
                          pose=pose, lanes=lanes, camera=camera)
     except _MALFORMED as exc:
@@ -201,10 +232,12 @@ def _frame_from_dict(d: dict) -> LaneFrame:
 
 def _detection_frame_from_dict(r: dict):
     try:
+        _object(r, {"frame_id", "timestamp_s", "detections"}, "detection record")
         frame_id = _int(r["frame_id"], "frame_id")
         timestamp_s = _finite(r["timestamp_s"], "timestamp_s")
-        dets = [(_decode_points(d["points"], 2), _int(d["category"], "detection category"))
-                for d in r["detections"]]
+        dets = [(_decode_points(_object(d, {"points", "category"}, "detection")["points"], 2),
+                 _int(d["category"], "detection category"))
+                for d in _array(r["detections"], "detections")]
         return frame_id, timestamp_s, dets
     except _MALFORMED as exc:
         raise SchemaError(f"malformed detection record: {exc}") from exc

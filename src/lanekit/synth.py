@@ -20,7 +20,8 @@ from .autolabel import CameraModel, Trajectory
 from .temporal import EgoPose, apply_transform
 
 SAMPLE_STEP = 0.5  # m between ground-truth lane samples along the centerline parameter y
-_POLY_LIMIT = 1e150  # bound on a scene polynomial's value and slope: sums of a few squares stay finite
+# bound on a scene polynomial's value and slope and on a lane's offset: sums of a few squares stay finite
+_POLY_LIMIT = 1e150
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,10 @@ class SceneSpec:
     def __post_init__(self):
         if self.lane_spacing <= 0:
             raise ValueError("lane spacing must be positive")
+        # compared as an int, which may lie beyond the float range, against a float
+        if not self.num_lanes - 1 < 2.0 * _POLY_LIMIT / self.lane_spacing:
+            raise ValueError(f"{self.num_lanes} lanes {self.lane_spacing:g} m apart put the outer lanes "
+                             f"{_POLY_LIMIT:g} m or more from the centerline")
         if self.frames < 1:
             raise ValueError("need at least one frame")
         if self.speed <= 0 or self.frame_interval <= 0:

@@ -546,12 +546,25 @@ class TestSegmentWindowExactness:
     def test_window_reaches_the_return_leg_only_nearby(self):
         traj = hairpin_trajectory()
         surf = build_surface(traj)
-        camera = traj.poses[20].position  # outbound, 40 m along, 6 m from the return leg
-        window = surf.segments_within(camera, 30.0)
+        pose = traj.poses[20]  # outbound, 40 m along, 6 m from the return leg
+        window = surf.segments_within(pose.position, 30.0, pose.rotation[:, 1], -1.0)  # rays every way
         assert 0 < window.size < surf.segment_count
         returning = surf.directions[window, 1] < -0.5
         assert returning.any()
         assert (surf.directions[window, 1] > 0.5).any()
+
+    @pytest.mark.parametrize("least", [0.5, 0.0])
+    def test_heading_drops_only_segments_behind_that_every_ray_moves_along(self, least):
+        traj = hairpin_trajectory()
+        surf = build_surface(traj)
+        pose = traj.poses[20]  # outbound: segments 0-18 end behind it, segment 19 at it
+        window = surf.segments_within(pose.position, 30.0, pose.rotation[:, 1], -1.0)
+        headed = surf.segments_within(pose.position, 30.0, pose.rotation[:, 1], least)
+        # rays with d.forward >= 0.5 move forward along every outbound segment; the return leg
+        # runs the other way, and a ray with d.forward = 0 may move backwards along any segment
+        behind = window[window < 19]
+        assert behind.size >= 10 and (surf.directions[window, 1] < -0.5).any()
+        np.testing.assert_array_equal(headed, np.setdiff1d(window, behind) if least > 0 else window)
 
     def test_intersect_window_matches_full_scan(self):
         traj = hairpin_trajectory(drop=0.1)
@@ -666,7 +679,7 @@ class TestPerRayBound:
         rows = []
         intersect = autolabel._intersect_rays
         monkeypatch.setattr(autolabel, "_intersect_rays",
-                            lambda s, o, d, seg: rows.append(len(d)) or intersect(s, o, d, seg))
+                            lambda s, o, d, *rest: rows.append(len(d)) or intersect(s, o, d, *rest))
         return rows
 
     def test_rear_camera_casts_every_crossing_ray(self, rows):
@@ -876,3 +889,77 @@ class TestSummationOrder:
         assert_same_bits(got, want)
         assert np.isinf(want).any() and (want == 0.0).any()
         assert not np.array_equal(in_order, want)
+
+
+def leaves(x):
+    """The arrays and numbers of a nested structure of lists and tuples, in order."""
+    if isinstance(x, (list, tuple)):
+        for item in x:
+            yield from leaves(item)
+    else:
+        yield np.asarray(x)
+
+
+class TestFixedSizeBlocks:
+    """Lifting, locating and tracking take rays and points in blocks of at most
+    `_BLOCK_ELEMENTS` (segment, ray) or (point, segment) pairs, so their
+    temporaries stay small whatever the frame; the block size moves no bit."""
+
+    @staticmethod
+    def run(surf, cam, frames):
+        """Per frame, the lifted lines, the (arclength, offset) of their points
+        and the track ids; then each track's offsets and variances."""
+        tracker = LineTracker(surf, min_hits=1)
+        out = []
+        for pose, detections in frames:
+            lines = lift_detections(detections, cam, pose, surf)
+            points = np.concatenate([points for points, _ in lines])
+            out.append((lines, surf.locate(points), tracker.step(lines)))
+        return out, [(track.offsets, track.variances) for track in tracker.tracks]
+
+    @pytest.mark.parametrize("scene", ["criterion-09", "rear-hairpin"])
+    def test_a_few_elements_a_block_move_no_bit(self, scene, monkeypatch):
+        if scene == "criterion-09":  # acceptance criterion 09's scene, every 20th frame
+            world = synth.gen_scene(synth.SceneSpec(num_lanes=4, curvature=(0.0, 0.0, 5e-4),
+                                                    elevation=(0.0, 0.05), frames=200, seed=109,
+                                                    lane_length=470.0))
+            traj, cam = world.trajectory, CameraModel.level_camera()
+            frames = [(traj.poses[f], synth.render_2d(world, f, cam, pixel_noise_sigma=1.0, max_depth=40.0))
+                      for f in range(0, 200, 20)]
+        else:  # every ray has dir_y < 0, so every frame's window holds every segment
+            traj, cam = hairpin_trajectory(drop=0.1), camera("rear")
+            frames = [(traj.poses[f], pixel_grid(cam)) for f in range(0, len(traj), 8)]
+        surf = build_surface(traj)
+        want = list(leaves(self.run(surf, cam, frames)))
+        monkeypatch.setattr(autolabel, "_BLOCK_ELEMENTS", 5)
+        got = list(leaves(self.run(surf, cam, frames)))
+        assert len(got) == len(want) and sum(a.size for a in want) > 1000
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.dtype == w.dtype
+            if w.dtype == float:
+                assert_same_bits(g, w)
+            else:
+                np.testing.assert_array_equal(g, w)
+
+    def test_peak_allocation_does_not_grow_with_segments_times_rays(self):
+        import tracemalloc
+
+        traj = straight_trajectory(n=320, step=1.0)
+        surf = build_surface(traj)
+        cam = camera("rear")  # no ray has a bound on t: the window is every segment
+        detections = pixel_grid(cam)
+        rays = sum(len(pixels) for pixels, _ in detections)
+        pose = traj.poses[160]
+        lift_detections(detections, cam, pose, surf)  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            lifted = lift_detections(detections, cam, pose, surf)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert surf.segment_count >= 300 and sum(len(points) for points, _ in lifted) > 0
+        plane = 8 * autolabel._BLOCK_ELEMENTS  # bytes of one block's float64 plane
+        row = 3 * 8 * (rays + surf.segment_count)  # bytes of one (n, 3) array per ray and per segment
+        # a (segments, rays) plane of float64 alone would take 3.4 MB
+        assert peak < 12 * plane + 8 * row, (peak, plane, row)

@@ -192,13 +192,15 @@ def test_non_object_config_rejected(tmp_path, capsys, document):
     assert "expected a JSON object" in json.loads(capsys.readouterr().err)["error"]
 
 
-def write_non_finite_prediction(tmp_path, bad):
-    """The synthetic ground truth with one lane point's x replaced by `bad`."""
+def write_prediction_with_x(tmp_path, text):
+    """The synthetic ground truth with one lane point's x written as the JSON `text`,
+    which the writer itself would refuse: the x written as 1.25 is swapped in the text."""
     run_synth(tmp_path, frames=3)
     lane_frames, _ = read_lane_frames(tmp_path / "scene.gt.jsonl")
-    lane_frames[1].lanes[0].points[5, 0] = bad
+    lane_frames[1].lanes[0].points[5, 0] = 1.25
     path = tmp_path / "pred.jsonl"
     write_lane_frames(path, lane_frames)
+    path.write_text(path.read_text().replace("[1.25,", f"[{text},", 1))
     return path
 
 
@@ -212,7 +214,7 @@ LANE_READERS = [
 @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
 @pytest.mark.parametrize("argv", LANE_READERS)
 def test_non_finite_lane_point_fails_cleanly(tmp_path, capsys, bad, argv):
-    pred = write_non_finite_prediction(tmp_path, bad)
+    pred = write_prediction_with_x(tmp_path, json.dumps(bad))  # a bare Infinity or NaN token
     code = main([arg.format(pred=pred, dir=tmp_path) for arg in argv])
     assert code == 2
     assert "frame 1 lane 0: non-finite lane points" in json.loads(capsys.readouterr().err)["error"]
@@ -222,9 +224,7 @@ def test_non_finite_lane_point_fails_cleanly(tmp_path, capsys, bad, argv):
 @pytest.mark.parametrize("bad", ['"1.5"', "true", "[1.0]"])
 @pytest.mark.parametrize("argv", LANE_READERS)
 def test_lane_point_that_is_not_a_number_fails_cleanly(tmp_path, capsys, bad, argv):
-    # the x written as 1.25 is swapped in the text, as no Lane can hold `bad`
-    pred = write_non_finite_prediction(tmp_path, 1.25)
-    pred.write_text(pred.read_text().replace("[1.25,", f"[{bad},", 1))
+    pred = write_prediction_with_x(tmp_path, bad)  # no Lane can hold `bad`
     code = main([arg.format(pred=pred, dir=tmp_path) for arg in argv])
     assert code == 2
     assert "frame 1 lane 0: lane points must be JSON numbers" in json.loads(capsys.readouterr().err)["error"]
@@ -709,6 +709,16 @@ def test_temporal_demo_records_its_weights(tmp_path, capsys):
      "--samples must lie in [4, 10000], got 10001"),
     (["spline", "--input", "{scene}.gt.jsonl", "--control-points", "101"], None,
      "--control-points must lie in [4, 100], got 101"),
+    (["synth", "{out}", "--frames", "3", "--num-lanes", "5", "--lane-spacing", "1e308"], None,
+     "--num-lanes 5, --lane-spacing 1e+308, "),
+    (["synth", "{out}", "--frames", "3", "--speed", "1e-300"], None,
+     "--speed 1e-300, --frame-interval 0.1, "),
+    (["synth", "{out}", "--frames", "3", "--frame-interval", "1e-300"], None,
+     "--speed 10.0, --frame-interval 1e-300, "),
+    (["autolabel", "--station-spacing", "1e-300"], None,
+     "--station-spacing 1e-300, --label-range 250.0: Maximum allowed size exceeded"),
+    (["autolabel", "--label-range", "1e308"], None,
+     "--station-spacing 2.0, --label-range 1e+308: Maximum allowed size exceeded"),
 ], ids=["alpha-null", "weight-null", "curvature-object", "curvature-string", "unknown-key", "seed-float",
         "int-beyond-float", "overridden-entry-checked", "seed-bool", "path-key", "near-range-nan", "gate-nan",
         "station-spacing-zero", "station-spacing-negative", "pixel-noise-nan", "lane-spacing-nan",
@@ -725,7 +735,9 @@ def test_temporal_demo_records_its_weights(tmp_path, capsys):
         "spline-too-few-samples", "spline-empty-y-range", "eval-zero-y-step", "eval-grid-overflow",
         "synth-curvature-overflow", "synth-grade-overflow", "demo-grade-overflow", "synth-steps-rounded-away",
         "demo-grade-too-few-samples", "demo-grade-no-lane", "spline-too-many-samples",
-        "spline-too-many-control-points"])
+        "spline-too-many-control-points", "synth-lane-offset-overflow", "synth-speed-steps-rounded-away",
+        "synth-frame-interval-steps-rounded-away", "autolabel-stations-beyond-size",
+        "autolabel-label-range-beyond-size"])
 def test_bad_option_fails_naming_it(tmp_path, capsys, scene, argv, config, option):
     out = str(tmp_path / "out")
     argv = [arg.format(scene=scene, out=out) for arg in argv]

@@ -5,8 +5,12 @@ Small valid files from `lanekit synth` are mutated line by line (drop,
 duplicate, swap, replace one JSON value) and byte by byte (flip,
 truncate), and one detection's base64 pixel payload is swapped for
 random text, non-ASCII text, base64 of a byte count that is not whole
-(u, v) rows, or base64 of rows that hold NaN or infinity.  Readers may
-only raise SchemaError; `eval`, `spline` and
+(u, v) rows, or base64 of rows that hold NaN or infinity; and one value
+of one record, most often a lane point coordinate, is replaced.  Readers may
+only raise SchemaError, and a file that a reader accepts must re-encode
+through its writer to the same records: equal values of the types the
+format names, a number for a number and a bool only for a bool, and a
+detection payload's bytes for its bytes.  `eval`, `spline` and
 `autolabel` may only return 0 or 2, and a 2 leaves neither the output
 nor its temporary file behind.  Config documents draw each known key's
 value from the same replacements, sometimes with an unknown key; every
@@ -32,6 +36,8 @@ from lanekit.frames import (
     iter_lane_frames,
     read_detections,
     read_lane_frames,
+    write_detections,
+    write_lane_frames,
 )
 
 REPLACEMENTS = ["x", "", [], [1], {}, None, float("nan"), float("inf"), True, 1.5,
@@ -100,7 +106,39 @@ def _read_text(path) -> str:
         return fh.read()
 
 
+def _records(path) -> list:
+    """The records of a JSON-Lines file as its reader splits them (header and
+    blank lines left out), each detection payload decoded to its bytes."""
+    with open(path, "rb") as fh:
+        lines = [raw.decode("utf-8") for raw in fh][1:]
+    records = [json.loads(line) for line in lines if line.strip()]
+    for record in records:
+        for detection in record.get("detections", []):
+            detection["points"] = base64.b64decode(detection["points"])
+    return records
+
+
+def _same(got, want) -> bool:
+    """Equal decoded JSON, where an int or a float equals an int or a float of
+    the same value, and any other value only one of its own type."""
+    number = (int, float)
+    if type(want) in number:
+        return type(got) in number and got == want
+    if type(got) is not type(want):
+        return False
+    if isinstance(want, dict):
+        return got.keys() == want.keys() and all(_same(got[key], want[key]) for key in want)
+    if isinstance(want, list):
+        return len(got) == len(want) and all(map(_same, got, want))
+    return got == want
+
+
+WRITERS = {read_lane_frames: write_lane_frames, read_detections: write_detections}
+
+
 def _assert_readers_raise_only_schema_errors(path, iter_fn, read_fn):
+    """Both readers of `path` return or raise SchemaError, and what they
+    accept re-encodes through the writer to the records it was read from."""
     try:
         _, records = iter_fn(path)
         for _ in records:
@@ -108,9 +146,13 @@ def _assert_readers_raise_only_schema_errors(path, iter_fn, read_fn):
     except SchemaError:
         pass
     try:
-        read_fn(path)
+        accepted, header = read_fn(path)
     except SchemaError:
-        pass
+        return
+    written = f"{path}.written"
+    WRITERS[read_fn](written, accepted, header.get("config"))
+    got, want = _records(written), _records(path)
+    assert len(got) == len(want) and all(map(_same, got, want)), (got, want)
 
 
 @FUZZ
@@ -131,6 +173,43 @@ def test_detection_reader_raises_only_schema_errors(scene, data):
         with open(path, "wb") as fh:
             fh.write(mutate(data, _read_text(scene + ".detections.jsonl")))
         _assert_readers_raise_only_schema_errors(path, iter_detections, read_detections)
+
+
+def _leaves(node, path=()):
+    """The paths of the values of decoded JSON that are neither objects nor arrays."""
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _leaves(child, path + (key,))
+    else:
+        yield path
+
+
+def replace_leaf(data, text: str) -> str:
+    """`text` with one drawn record's value at a drawn leaf, most often a lane
+    point coordinate, replaced by a drawn value."""
+    lines = text.splitlines()
+    i = data.draw(st.integers(1, len(lines) - 1), label="record")
+    record = json.loads(lines[i])
+    *parents, key = data.draw(st.sampled_from(list(_leaves(record))), label="leaf")
+    node = record
+    for parent in parents:
+        node = node[parent]
+    node[key] = data.draw(st.sampled_from(REPLACEMENTS), label="value")
+    lines[i] = json.dumps(record)
+    return "".join(line + "\n" for line in lines)
+
+
+@FUZZ
+@given(data=st.data(), suffix=st.sampled_from([".gt.jsonl", ".detections.jsonl"]))
+def test_one_replaced_value_is_refused_or_round_trips(scene, data, suffix):
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "records.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(replace_leaf(data, _read_text(scene + suffix)))
+        if suffix == ".gt.jsonl":
+            _assert_readers_raise_only_schema_errors(path, iter_lane_frames, read_lane_frames)
+        else:
+            _assert_readers_raise_only_schema_errors(path, iter_detections, read_detections)
 
 
 def _b64(raw: bytes) -> str:

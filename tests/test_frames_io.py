@@ -92,11 +92,25 @@ class TestLaneFrames:
     def test_non_finite_lane_points_rejected(self, tmp_path, bad, column):
         frames = sample_frames()
         frames[1].lanes = [Lane(lane_id=4, category=1, points=frames[1].lanes[0].points.copy())]
-        frames[1].lanes[0].points[1, column] = bad
         path = tmp_path / "frames.jsonl"
         write_lane_frames(path, frames)
+        # json.dumps writes the bare NaN and Infinity tokens that the writer refuses to
+        rewrite_record(path, 3, lambda record: record["lanes"][0]["points"][1].__setitem__(column, bad))
         with pytest.raises(SchemaError, match="frame 1 lane 4: non-finite"):
             read_lane_frames(path)
+
+    @pytest.mark.parametrize("points, message", [
+        (np.array([[0.0, 5.0, np.nan, 1.0]]), "frame 1 lane 4: non-finite points"),
+        (np.array([[0.0, 5.0, 0.0, 1.0], [-np.inf, 6.0, 0.0, 1.0]]), "frame 1 lane 4: non-finite points"),
+        (np.ones((2, 3)), r"frame 1 lane 4: points must be an \(n, 4\) array, got shape \(2, 3\)"),
+    ])
+    def test_writer_refuses_lanes_the_reader_refuses(self, tmp_path, points, message):
+        frames = sample_frames()
+        frames[1].lanes = [Lane(lane_id=4, category=1, points=np.zeros((1, 4)))]
+        frames[1].lanes[0].points = points  # set after the Lane's own check
+        with pytest.raises(SchemaError, match=message):
+            write_lane_frames(tmp_path / "frames.jsonl", frames)
+        assert list(tmp_path.iterdir()) == []
 
     def test_malformed_record_rejected(self, tmp_path):
         path = tmp_path / "frames.jsonl"

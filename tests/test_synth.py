@@ -67,6 +67,19 @@ class TestGenScene:
         world = gen_scene(SceneSpec(num_lanes=2, frames=3, curvature=(0.0, 2e147), elevation=(0.0, 2e147)))
         assert all(np.isfinite(points).all() for _, _, points in world.lanes)
 
+    @pytest.mark.parametrize("num_lanes, lane_spacing", [
+        (5, 1e308),  # (5 - 1) / 2 * 1e308 overflows
+        (3, 1e150),  # the outer lanes lie at the bound
+        (10 ** 400, 1.0),  # a lane count beyond the float range
+    ])
+    def test_lane_offset_that_can_overflow_rejected(self, num_lanes, lane_spacing):
+        with pytest.raises(ValueError, match="put the outer lanes 1e\\+150 m or more from the centerline"):
+            SceneSpec(num_lanes=num_lanes, lane_spacing=lane_spacing)
+
+    def test_lane_offset_below_the_bound_runs_without_overflow(self):
+        world = gen_scene(SceneSpec(num_lanes=3, lane_spacing=9e149, frames=3))
+        assert all(np.isfinite(points).all() for _, _, points in world.lanes)
+
 
 class TestRender:
     def test_point_on_optical_axis(self):
