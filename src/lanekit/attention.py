@@ -12,6 +12,12 @@ array (`same_line_index`, `neighbor_line_index`, `memory_index`), and
 the layer attends over the gathered keys.  The boolean masks
 (`same_line_mask`, `neighbor_line_mask`, `memory_mask`) are dense views
 of those index lists, for reports and dense reference checks.
+
+`memory_index` computes distances only inside a y-window of the memory
+sorted by y: a query's k-th distance to the 2k entries around it in y
+bounds its k-th distance over the whole memory, and any entry within
+that distance lies within it in y.  The window is widened by a relative
+1e-9 for rounding, so the selection is the whole-memory one bit for bit.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .splines import basis_matrix
 
@@ -98,6 +105,25 @@ def neighbor_line_mask(points: np.ndarray) -> np.ndarray:
     return index_to_mask(index, index.shape[0])
 
 
+def _distances(queries: np.ndarray, memory: np.ndarray, first: np.ndarray, width: int) -> np.ndarray:
+    """(rows, width) 3D distances of (3, rows) query coordinates to the
+    memory columns first .. first + width - 1 of each row.
+
+    Summed per coordinate in x, y, z order: the same arithmetic as
+    np.linalg.norm over the last axis, without a (rows, width, 3) array.
+    A NaN distance reads as inf, which compares as the farthest.
+    """
+    dist = np.zeros((first.size, width))
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, read as inf below
+        for axis in range(3):
+            gap = queries[axis, :, None] - sliding_window_view(memory[axis], width)[first]
+            gap *= gap
+            dist += gap
+    np.sqrt(dist, out=dist)
+    dist[np.isnan(dist)] = np.inf
+    return dist
+
+
 def memory_index(query_points: np.ndarray, memory_points: np.ndarray,
                  k_nearest: int = 10) -> np.ndarray:
     """(queries, min(k, memory)) memory indices: the k_nearest entries by 3D distance.
@@ -107,6 +133,21 @@ def memory_index(query_points: np.ndarray, memory_points: np.ndarray,
     lists its k nearest first; otherwise every row lists the whole memory
     in index order, so an empty memory yields degree 0 and the attention
     contribution is skipped downstream.
+
+    Distances are computed only inside a y-window of the memory, sorted
+    by y once per call.  The k-th smallest distance to the 2k entries
+    around a query in y order bounds the query's k-th distance over the
+    whole memory.  Widened by a relative 1e-9, and by 1e-150 for squared
+    gaps that underflow, it is the half-width B of the window
+    [qy - B, qy + B], found with `searchsorted`.  The rule is exact: any
+    entry the whole-memory rule could pick has |dy| <= distance <= k-th
+    <= B, where the widening covers the rounding of dy and of its square,
+    and rounding is monotone, so the window edges keep every such entry;
+    the (row, distance, index) selection inside the window is then the
+    whole-memory one.  A bound that is not finite, as for a query or near
+    entries with a non-finite coordinate, gives a window of the whole
+    memory through the same code.  Windows are padded to the widest one
+    and worked in row chunks under `_CHUNK_ELEMENTS`.
     """
     if k_nearest < 0:
         raise ValueError(f"k_nearest must be >= 0, got {k_nearest}")
@@ -118,26 +159,41 @@ def memory_index(query_points: np.ndarray, memory_points: np.ndarray,
     if degree in (0, n_k):
         return np.broadcast_to(np.arange(degree), (n_q, degree))
     queries = np.ascontiguousarray(query_points[:, :3].T)
-    memory = np.ascontiguousarray(memory_points[:, :3].T)
+    by_y = np.argsort(memory_points[:, 1], kind="stable")  # NaN y sorts last
+    memory = np.ascontiguousarray(memory_points[by_y, :3].T)
+
+    near = min(2 * degree, n_k)
+    around = np.clip(np.searchsorted(memory[1], queries[1]) - degree, 0, n_k - near)
+    bound = np.empty(n_q)
+    for rows in _query_chunks(n_q, near, _CHUNK_ELEMENTS):
+        dist = _distances(queries[:, rows], memory, around[rows], near)
+        bound[rows] = np.partition(dist, degree - 1, axis=1)[:, degree - 1]
+    bound = bound * (1.0 + 1e-9) + 1e-150
+    finite = np.isfinite(bound)
+    half = np.where(finite, bound, 0.0)
+    lo = np.where(finite, np.searchsorted(memory[1], queries[1] - half, side="left"), 0)
+    hi = np.where(finite, np.searchsorted(memory[1], queries[1] + half, side="right"), n_k)
+    width = int((hi - lo).max())
+    first = np.minimum(lo, n_k - width)
+
     index = np.empty((n_q, degree), dtype=np.intp)
-    for rows in _query_chunks(n_q, n_k, _CHUNK_ELEMENTS):
-        # Summed per coordinate in x, y, z order: the same arithmetic as
-        # np.linalg.norm over the last axis, without a (rows, n_k, 3) array.
-        dist = np.zeros((queries[0, rows].size, n_k))
-        for axis in range(3):
-            gap = np.subtract.outer(queries[axis, rows], memory[axis])
-            gap *= gap
-            dist += gap
-        np.sqrt(dist, out=dist)
-        dist[np.isnan(dist)] = np.inf  # NaN compares false; this keeps >= k candidates per row
-        kth = np.partition(dist, degree - 1, axis=1)[:, degree - 1:degree]
-        # Every entry within the k-th distance is a candidate; ordering the
-        # candidates by (row, distance, index) and keeping each row's first
-        # k lets the lower index win a tie at the k-th distance.
-        row, col = np.nonzero(dist <= kth)
-        order = np.lexsort((col, dist[row, col], row))
-        starts = np.searchsorted(row, np.arange(dist.shape[0]))
-        index[rows] = col[order[starts[:, None] + np.arange(degree)]]
+    for rows in _query_chunks(n_q, width, _CHUNK_ELEMENTS):
+        dist = _distances(queries[:, rows], memory, first[rows], width)
+        pick = np.argpartition(dist, degree - 1, axis=1)
+        kth = np.take_along_axis(dist, pick[:, degree - 1:degree], axis=1)
+        # Every entry within the k-th distance is a candidate.  The `wide`
+        # nearest of each row hold all of its candidates, those of the row
+        # with the most ties at the k-th distance too (a partition at k may
+        # leave a tie past the first `wide`, so ties partition again);
+        # ordering them by (distance, index) and keeping the first k lets
+        # the lower index win a tie at the k-th distance.
+        wide = int((dist <= kth).sum(axis=1).max())
+        if wide > degree:
+            pick = np.argpartition(dist, wide - 1, axis=1)
+        pick = pick[:, :wide]
+        entry = by_y[first[rows, None] + pick]
+        order = np.lexsort((entry, np.take_along_axis(dist, pick, axis=1)), axis=1)
+        index[rows] = np.take_along_axis(entry, order[:, :degree], axis=1)
     return index
 
 
@@ -181,14 +237,11 @@ def positional_encoding(points: np.ndarray, cfg: EncodingConfig) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != 4:
         raise ValueError("points must have 4 components (x, y, z, v)")
-    blocks = []
-    freqs = 2.0 ** np.arange(cfg.frequencies)
-    for scalar, (lo, hi) in enumerate(cfg.ranges):
-        u = np.clip((pts[:, scalar] - lo) / (hi - lo), 0.0, 1.0)
-        angles = np.pi * u[:, None] * freqs[None, :]
-        blocks.append(np.sin(angles))
-        blocks.append(np.cos(angles))
-    out = np.concatenate(blocks, axis=1)
+    lo, hi = np.array(cfg.ranges, dtype=float).T
+    u = np.clip((pts - lo) / (hi - lo), 0.0, 1.0)
+    # (n, scalar, frequency) angles; per scalar, the sin block then the cos block
+    angles = (np.pi * u)[:, :, None] * 2.0 ** np.arange(cfg.frequencies)
+    out = np.stack([np.sin(angles), np.cos(angles)], axis=2).reshape(len(pts), cfg.dim)
     return out[0] if np.asarray(points).ndim == 1 else out
 
 

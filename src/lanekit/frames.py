@@ -94,6 +94,11 @@ class LaneFrame:
 _dump = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
 
 
+# the keys of a JSON document's header, and the keys a camera object may hold
+_HEADER_KEYS = {"schema_version", "kind", "config"}
+_CAMERA_KEYS = {"fx", "fy", "cx", "cy", "width", "height", "extrinsic"}
+
+
 def _camera_to_dict(cam: CameraModel) -> dict:
     return {
         "fx": cam.fx, "fy": cam.fy, "cx": cam.cx, "cy": cam.cy,
@@ -222,8 +227,7 @@ def _frame_from_dict(d: dict) -> LaneFrame:
                  for l in _array(d["lanes"], "lanes")]
         camera = None
         if "camera" in d:
-            camera = _camera_from_dict(_object(d["camera"], {"fx", "fy", "cx", "cy", "width", "height",
-                                                             "extrinsic"}, "camera"))
+            camera = _camera_from_dict(_object(d["camera"], _CAMERA_KEYS, "camera"))
         return LaneFrame(frame_id=frame_id, timestamp_s=timestamp_s,
                          pose=pose, lanes=lanes, camera=camera)
     except _MALFORMED as exc:
@@ -375,8 +379,10 @@ def write_trajectory(path, traj: Trajectory, config: dict | None = None) -> None
 def read_trajectory(path) -> Trajectory:
     doc = _read_json(path, "trajectory")
     try:
-        stamps = [_finite(p["timestamp_s"], "timestamp_s") for p in doc["poses"]]
-        poses = [EgoPose(_finite_matrix(p["pose"], "pose")) for p in doc["poses"]]
+        records = [_object(p, {"timestamp_s", "pose"}, "pose record")
+                   for p in _array(_object(doc, _HEADER_KEYS | {"poses"}, "trajectory")["poses"], "poses")]
+        stamps = [_finite(p["timestamp_s"], "timestamp_s") for p in records]
+        poses = [EgoPose(_finite_matrix(p["pose"], "pose")) for p in records]
         return Trajectory(np.array(stamps, dtype=float), poses)
     except _MALFORMED as exc:
         raise SchemaError(f"{path}: malformed trajectory: {exc}") from exc
@@ -391,7 +397,7 @@ def write_camera(path, cam: CameraModel, config: dict | None = None) -> None:
 def read_camera(path) -> CameraModel:
     doc = _read_json(path, "camera")
     try:
-        return _camera_from_dict(doc)
+        return _camera_from_dict(_object(doc, _HEADER_KEYS | _CAMERA_KEYS, "camera"))
     except _MALFORMED as exc:
         raise SchemaError(f"{path}: malformed camera file: {exc}") from exc
 

@@ -9,7 +9,10 @@ moving average of past predictions carried along with the ego motion.
 
 Proposals are sampled at a target's y positions through one basis,
 built once per target and call; the assignment costs every proposal
-against a target in one (samples, m) @ (proposals, m, 4) product.
+against a target in one (samples, m) @ (proposals, m, 4) product, and
+`combined_loss` scores its regression and visibility terms on the
+matched rows of those products.  The parallelism regularizer works on
+all adjacent lane pairs at once, as (pairs, samples) arrays.
 Assignments are solved by `lanekit.assignment`; the tracker's
 frame-to-frame association uses its gated rule, `gated_assignment`.
 """
@@ -56,6 +59,26 @@ def _visible_l1(pred: np.ndarray, gt: GtLane):
     return (gt.points[:, 3] * l1).sum(axis=-1)
 
 
+def _assign(pred_points, class_probs, gts, cfg: CurveConfig, class_weight: float):
+    """`assign_proposals`, plus the (proposals, samples, 4) samples of every
+    proposal at each target's y positions that its costs were built from."""
+    pred_points = np.asarray(pred_points, dtype=float)
+    class_probs = np.asarray(class_probs, dtype=float)
+    n = pred_points.shape[0]
+    if len(gts) > n:
+        raise ValueError(f"{len(gts)} targets but only {n} proposals")
+    if not gts:
+        return [], []
+    cost = np.zeros((len(gts), n))
+    samples = [_basis_at_y(gt.points[:, 1], cfg) @ pred_points for gt in gts]
+    for g, gt in enumerate(gts):
+        total = gt.points[:, 3].sum()
+        geometry = 0.0 if total <= 0 else _visible_l1(samples[g], gt) / total
+        cost[g] = geometry + class_weight * (1.0 - class_probs[:, gt.category])
+    rows, cols = linear_sum_assignment(cost)
+    return sorted(zip(rows.tolist(), cols.tolist())), samples
+
+
 def assign_proposals(pred_points, class_probs, gts, cfg: CurveConfig,
                      class_weight: float = 1.0) -> list[tuple[int, int]]:
     """Minimum-cost one-to-one assignment of targets to proposals.
@@ -65,21 +88,7 @@ def assign_proposals(pred_points, class_probs, gts, cfg: CurveConfig,
     Returns (gt_index, proposal_index) pairs; proposals left unmatched
     are background.
     """
-    pred_points = np.asarray(pred_points, dtype=float)
-    class_probs = np.asarray(class_probs, dtype=float)
-    n = pred_points.shape[0]
-    if len(gts) > n:
-        raise ValueError(f"{len(gts)} targets but only {n} proposals")
-    if not gts:
-        return []
-    cost = np.zeros((len(gts), n))
-    for g, gt in enumerate(gts):
-        samples = _basis_at_y(gt.points[:, 1], cfg) @ pred_points
-        total = gt.points[:, 3].sum()
-        geometry = 0.0 if total <= 0 else _visible_l1(samples, gt) / total
-        cost[g] = geometry + class_weight * (1.0 - class_probs[:, gt.category])
-    rows, cols = linear_sum_assignment(cost)
-    return sorted(zip(rows.tolist(), cols.tolist()))
+    return _assign(pred_points, class_probs, gts, cfg, class_weight)[0]
 
 
 def classification_targets(matching, gts, n_proposals: int, n_classes: int) -> np.ndarray:
@@ -101,18 +110,33 @@ def lane_confidence(class_probs) -> np.ndarray:
     return probs[:, :-1].max(axis=1)
 
 
+def _matched_samples(pred_points: np.ndarray, gts, matching, cfg: CurveConfig) -> list:
+    """(samples, target) of each matched pair: the proposal sampled at the target's y positions."""
+    return [(_basis_at_y(gts[g].points[:, 1], cfg) @ pred_points[p], gts[g]) for g, p in matching]
+
+
+def _regression(pairs, n: int) -> float:
+    """Visible L1 gap summed over (samples, target) pairs, divided by n proposals."""
+    return sum(float(_visible_l1(samples, gt)) for samples, gt in pairs) / n
+
+
+def _visibility(pairs) -> float:
+    """Visibility cross-entropy averaged over (samples, target) pairs."""
+    total = 0.0
+    for samples, gt in pairs:
+        pred_v = np.clip(samples[:, 3], PROB_EPS, 1.0 - PROB_EPS)
+        v_hat = gt.points[:, 3]
+        total += float(-(v_hat * np.log(pred_v) + (1.0 - v_hat) * np.log(1.0 - pred_v)).sum())
+    return total / len(pairs)
+
+
 def regression_loss(pred_points, gts, matching, cfg: CurveConfig) -> float:
     """Visibility-gated L1 loss on (x, z) at the targets' curve arguments, averaged over proposals."""
     pred_points = np.asarray(pred_points, dtype=float)
-    n = pred_points.shape[0]
     if not matching:
         warnings.warn("regression loss over an empty matching is 0")
         return 0.0
-    total = 0.0
-    for g, p in matching:
-        gt = gts[g]
-        total += float(_visible_l1(_basis_at_y(gt.points[:, 1], cfg) @ pred_points[p], gt))
-    return total / n
+    return _regression(_matched_samples(pred_points, gts, matching, cfg), pred_points.shape[0])
 
 
 def regression_loss_grad(pred_points, gts, matching, cfg: CurveConfig) -> np.ndarray:
@@ -142,13 +166,7 @@ def visibility_loss(pred_points, gts, matching, cfg: CurveConfig) -> float:
     pred_points = np.asarray(pred_points, dtype=float)
     if not matching:
         return 0.0
-    total = 0.0
-    for g, p in matching:
-        gt = gts[g]
-        pred_v = np.clip((_basis_at_y(gt.points[:, 1], cfg) @ pred_points[p])[:, 3], PROB_EPS, 1.0 - PROB_EPS)
-        v_hat = gt.points[:, 3]
-        total += float(-(v_hat * np.log(pred_v) + (1.0 - v_hat) * np.log(1.0 - pred_v)).sum())
-    return total / len(matching)
+    return _visibility(_matched_samples(pred_points, gts, matching, cfg))
 
 
 def focal_classification_loss(class_probs, targets, gamma: float = 2.0) -> float:
@@ -162,14 +180,6 @@ def focal_classification_loss(class_probs, targets, gamma: float = 2.0) -> float
         raise ValueError("one target per proposal required")
     p = np.clip(probs[np.arange(n), targets], PROB_EPS, 1.0)
     return float(-np.mean((1.0 - p) ** gamma * np.log(p)))
-
-
-def _weighted_variance(values: np.ndarray, weights: np.ndarray) -> float:
-    total = weights.sum()
-    if total <= 0:
-        return 0.0
-    mean = (weights * values).sum() / total
-    return float((weights * (values - mean) ** 2).sum() / total)
 
 
 def spatial_regularization(pred_points, cfg: CurveConfig, samples: int = 100,
@@ -205,18 +215,24 @@ def spatial_regularization(pred_points, cfg: CurveConfig, samples: int = 100,
     if n < 2:
         return 0.0, smooth, curv
 
+    # (pairs, samples) arrays of laterally adjacent lanes a and b
     order = np.argsort(curves[:, :, 0].mean(axis=1), kind="stable")
-    parallel_terms = []
-    for a, b in zip(order[:-1], order[1:]):
-        tangent = d1[a, :, :2]
-        norm = np.linalg.norm(tangent, axis=1, keepdims=True)
-        # degenerate tangents fall back to the longitudinal direction
-        tangent = np.where(norm > 1e-12, tangent / np.maximum(norm, 1e-12), [0.0, 1.0])
-        normal = np.column_stack([tangent[:, 1], -tangent[:, 0]])
-        gap = np.abs(np.sum((curves[b, :, :2] - curves[a, :, :2]) * normal, axis=1))
-        weights = curves[a, :, 3] * curves[b, :, 3]
-        parallel_terms.append(_weighted_variance(gap, weights))
-    return float(np.mean(parallel_terms)), smooth, curv
+    a, b = order[:-1], order[1:]
+    tangent = d1[a, :, :2]
+    norm = np.linalg.norm(tangent, axis=2, keepdims=True)
+    # degenerate tangents fall back to the longitudinal direction
+    tangent = np.where(norm > 1e-12, tangent / np.maximum(norm, 1e-12), [0.0, 1.0])
+    normal = np.stack([tangent[..., 1], -tangent[..., 0]], axis=2)
+    gap = np.abs(np.sum((curves[b, :, :2] - curves[a, :, :2]) * normal, axis=2))
+    weights = curves[a, :, 3] * curves[b, :, 3]
+    # visibility-weighted variance of each pair's gap, 0 for a pair with no weight
+    total = weights.sum(axis=1)
+    empty = total <= 0
+    total[empty] = 1.0
+    mean = (weights * gap).sum(axis=1) / total
+    variance = (weights * (gap - mean[:, None]) ** 2).sum(axis=1) / total
+    variance[empty] = 0.0
+    return float(np.mean(variance)), smooth, curv
 
 
 @dataclass
@@ -272,7 +288,8 @@ def combined_loss(pred_points, class_probs, gts, cfg: CurveConfig,
     pred_points = np.asarray(pred_points, dtype=float)
     class_probs = np.asarray(class_probs, dtype=float)
     weights = weights or LossWeights()
-    matching = assign_proposals(pred_points, class_probs, gts, cfg, class_weight=class_weight)
+    matching, samples = _assign(pred_points, class_probs, gts, cfg, class_weight)
+    pairs = [(samples[g][p], gts[g]) for g, p in matching]  # the samples the assignment costed
     targets = classification_targets(matching, gts, pred_points.shape[0], class_probs.shape[1] - 1)
     parallel, smooth, curvature = spatial_regularization(pred_points, cfg)
     temporal = 0.0
@@ -280,8 +297,8 @@ def combined_loss(pred_points, class_probs, gts, cfg: CurveConfig,
         cur_x, cur_z, _ = resample_curves_on_grid(pred_points, cfg, ema_state.y_grid)
         temporal = temporal_consistency_loss(cur_x, cur_z, ema_state)
     return LossBreakdown(
-        regression=regression_loss(pred_points, gts, matching, cfg) if matching else 0.0,
-        visibility=visibility_loss(pred_points, gts, matching, cfg),
+        regression=_regression(pairs, pred_points.shape[0]) if pairs else 0.0,
+        visibility=_visibility(pairs) if pairs else 0.0,
         classification=focal_classification_loss(class_probs, targets, gamma=gamma),
         spatial_parallel=parallel,
         spatial_smooth=smooth,

@@ -127,16 +127,18 @@ def basis_matrix(m: int, sample_args, order: int = 0) -> BasisMatrix:
 # the dense grid at orders 0-2 (`spatial_regularization`), the moving-average
 # y grid and the neighbour-tangent grid (`neighbor_line_index`).  A lane
 # target's basis is looked up at most four times within one frame (the fit,
-# `assign_proposals`, `regression_loss`, `visibility_loss`), and between its
-# first and last lookup at most 5 + (T - 1) other keys arrive for T targets a
-# frame.  A grid looked up once a frame sees both frames' targets and the
-# other grids in between, 2T + 4 keys.  So 16 entries keep every hit for up
-# to 5 targets a frame (11 within a frame); the scenes here have 4.  Each
-# entry is samples x m floats and most are one-off fits, so a larger bound
-# only holds memory: hits / misses are 498 / 117 over 28 detector steps,
-# 955 / 5 for `temporal-demo` and 0 / 801 for `spline` on the README scene
-# at both 128 and 16 entries, while 8 entries rebuild 135 bases in the
-# detector run.
+# `assign_proposals`, `regression_loss`, `visibility_loss`; `combined_loss`
+# takes both loss terms from the assignment's samples, so the detector looks
+# it up twice), and between its first and last lookup at most 5 + (T - 1)
+# other keys arrive for T targets a frame.  A grid looked up once a frame
+# sees both frames' targets and the other grids in between, 2T + 4 keys.  So
+# 16 entries keep every hit for up to 5 targets a frame (11 within a frame);
+# the scenes here have 4.  Each entry is samples x m floats and most are
+# one-off fits, so a larger bound only holds memory: hits / misses were 498 /
+# 117 over 28 detector steps (274 / 117 since `combined_loss` reuses the
+# samples), 955 / 5 for `temporal-demo` and 0 / 801 for `spline` on the
+# README scene at both 128 and 16 entries, while 8 entries rebuilt 135 bases
+# in the detector run.
 @functools.lru_cache(maxsize=16)
 def _basis(m: int, order: int, args: bytes) -> BasisMatrix:
     s = np.frombuffer(args)

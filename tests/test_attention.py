@@ -76,6 +76,78 @@ def sorted_memory_mask(query_points, memory_points, k_nearest):
     return mask
 
 
+def brute_memory_index(queries, memory, k):
+    """Each query's whole memory ordered by (distance, index), first min(k, entries) kept.
+
+    Distances are summed per coordinate in x, y, z order, as the index
+    builder sums them, and a NaN distance reads as the farthest.
+    """
+    degree = min(k, len(memory))
+    if degree in (0, len(memory)):
+        return np.broadcast_to(np.arange(degree), (len(queries), degree))
+    rows = []
+    for query in queries:
+        dist = np.zeros(len(memory))
+        with np.errstate(invalid="ignore"):
+            for axis in range(3):
+                gap = query[axis] - memory[:, axis]
+                dist += gap * gap
+        dist = np.sqrt(dist)
+        dist[np.isnan(dist)] = np.inf
+        rows.append(np.lexsort((np.arange(len(memory)), dist))[:degree])
+    return np.array(rows)
+
+
+def memory_cases():
+    """(queries, memory, k): ties, duplicates, one y, non-finite coordinates and underflow."""
+    rng = np.random.default_rng(36)
+    lanes = curved_lanes(5, 8, rng).reshape(-1, 4)
+    memory = curved_lanes(6, 20, rng).reshape(-1, 4)
+    base = np.round(rng.uniform(-5, 5, (30, 4)))
+    grid = np.round(rng.uniform(-5, 5, (50, 4)))
+    circle = np.zeros((12, 4))  # eight entries 5 m from the origin, four 10 m away
+    circle[:8, :2] = [[3, 4], [4, 3], [-3, 4], [4, -3], [5, 0], [0, -5], [-4, -3], [0, 5]]
+    circle[8:, :2] = [[6, 8], [-8, 6], [10, 0], [0, -10]]
+    one_y = memory.copy()
+    one_y[:, 1] = 40.0
+    flat_queries = lanes.copy()
+    flat_queries[:, 1] = 40.0
+    non_finite_queries = lanes.copy()
+    non_finite_queries[[0, 3, 7, 11, 20], [1, 0, 2, 1, 1]] = [np.nan, np.inf, -np.inf, np.inf, -np.inf]
+    non_finite_memory = memory.copy()
+    non_finite_memory[rng.choice(len(memory), 12, replace=False), rng.integers(0, 3, 12)] = \
+        np.tile([np.nan, np.inf, -np.inf], 4)
+    # the gap from y = 1 to -1e-17 rounds to 1, a tie with y = 2 that the lower index wins
+    rounded = np.zeros((6, 4))
+    rounded[:, 1] = [-1e-17, 1.5, 2.0, 3.0, 4.0, 5.0]
+    # a tie at 3 m between entries 1 and 0, which y orders the other way round, with far
+    # entries between them in y
+    scattered_tie = np.zeros((6, 4))
+    scattered_tie[:, :2] = [[0, 3], [0, -3], [0, 1], [20, -1], [20, 0], [20, 0.5]]
+    tiny = np.zeros((40, 4))  # squares of y gaps under 1e-154 underflow
+    tiny[:, 1] = 1e-160 * rng.permutation(40)
+    tiny[:, 0] = 1e-170 * rng.integers(0, 3, 40)
+    return {
+        "curved": (lanes, memory, 10),
+        "k1": (lanes, memory, 1),
+        "ties": (grid, np.concatenate([base, base[::-1], base]), 7),
+        "circle": (np.zeros((3, 4)), circle, 5),
+        "duplicates": (lanes, np.repeat(memory[:25], 4, axis=0), 6),
+        "one_y": (lanes, one_y, 10),
+        "one_y_queries_too": (flat_queries, one_y, 10),
+        "non_finite_queries": (non_finite_queries, memory, 10),
+        "non_finite_memory": (lanes, non_finite_memory, 10),
+        "non_finite_both": (non_finite_queries, non_finite_memory, 10),
+        "rounded_gap": (np.array([[0.0, 1.0, 0.0, 0.0]]), rounded, 2),
+        "scattered_tie": (np.zeros((1, 4)), scattered_tie, 2),
+        "underflow": (tiny[::3], tiny, 4),
+        "k_equals_entries": (lanes, memory[:10], 10),
+        "k_above_entries": (lanes, memory[:7], 10),
+        "k0": (lanes, memory, 0),
+        "empty": (lanes, memory[:0], 3),
+    }
+
+
 def dense_layer(embeddings, points, memory_embeddings, memory_points, enc, heads, k_nearest):
     """The layer as dense masked attention over (queries x keys) boolean masks."""
     n, m, channels = embeddings.shape
@@ -179,6 +251,19 @@ class TestIndexBuilders:
         index = memory_index(queries, memory, k_nearest=6)
         dist = np.linalg.norm(memory[index][:, :, :3] - queries[:, None, :3], axis=2)
         assert (np.diff(dist, axis=1) >= 0).all()
+
+    @pytest.mark.parametrize("chunk", [None, 5])
+    @pytest.mark.parametrize("case", sorted(memory_cases()))
+    def test_memory_index_equals_brute_force(self, monkeypatch, case, chunk):
+        import lanekit.attention as attention
+
+        queries, memory, k = memory_cases()[case]
+        if chunk is not None:  # one row per chunk
+            monkeypatch.setattr(attention, "_CHUNK_ELEMENTS", chunk)
+        index = memory_index(queries, memory, k_nearest=k)
+        expected = brute_memory_index(queries, memory, k)
+        assert index.shape == expected.shape
+        assert index.tolist() == expected.tolist()
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
@@ -296,8 +381,32 @@ class TestMemoryMask:
             assert set(np.flatnonzero(mask[r]).tolist()) == expected
 
 
+def loop_positional_encoding(points, cfg):
+    """The per-scalar encoding loop: a sin and a cos block for each of x, y, z and v."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    blocks = []
+    freqs = 2.0 ** np.arange(cfg.frequencies)
+    for scalar, (lo, hi) in enumerate(cfg.ranges):
+        u = np.clip((pts[:, scalar] - lo) / (hi - lo), 0.0, 1.0)
+        angles = np.pi * u[:, None] * freqs[None, :]
+        blocks.append(np.sin(angles))
+        blocks.append(np.cos(angles))
+    out = np.concatenate(blocks, axis=1)
+    return out[0] if np.asarray(points).ndim == 1 else out
+
+
 class TestPositionalEncoding:
     CFG = EncodingConfig(dim=64)
+
+    @pytest.mark.parametrize("dim", [8, 16, 64, 128])
+    def test_equals_per_scalar_loop_bit_for_bit(self, dim):
+        rng = np.random.default_rng(37)
+        cfg = EncodingConfig(dim=dim, y_range=(3, 103))  # int bounds are read as floats
+        points = np.column_stack([rng.uniform(-30, 30, 601), rng.uniform(-10, 220, 601),
+                                  rng.normal(0, 4, 601), rng.uniform(-0.2, 1.2, 601)])
+        for pts in (points, points[:1], points[0], points[::7]):
+            got, want = positional_encoding(pts, cfg), loop_positional_encoding(pts, cfg)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_deterministic(self):
         p = np.array([1.0, 20.0, 0.1, 0.9])

@@ -1,5 +1,6 @@
-"""Hypothesis fuzzing of the lane and detection readers, of the CLI
-commands that read them, and of every subcommand's --config document.
+"""Hypothesis fuzzing of the lane, detection, trajectory and camera
+readers, of the CLI commands that read them, and of every subcommand's
+--config document.
 
 Small valid files from `lanekit synth` are mutated line by line (drop,
 duplicate, swap, replace one JSON value) and byte by byte (flip,
@@ -10,7 +11,10 @@ of one record, most often a lane point coordinate, is replaced.  Readers may
 only raise SchemaError, and a file that a reader accepts must re-encode
 through its writer to the same records: equal values of the types the
 format names, a number for a number and a bool only for a bool, and a
-detection payload's bytes for its bytes.  `eval`, `spline` and
+detection payload's bytes for its bytes.  Trajectory and camera
+documents get one value replaced, or one key added to one of their
+objects, and what their readers accept must re-encode to the same
+document, header config aside.  `eval`, `spline` and
 `autolabel` may only return 0 or 2, and a 2 leaves neither the output
 nor its temporary file behind.  Config documents draw each known key's
 value from the same replacements, sometimes with an unknown key; every
@@ -29,15 +33,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from lanekit.autolabel import CameraModel
 from lanekit.cli import OPTIONS, main
 from lanekit.frames import (
     SchemaError,
     iter_detections,
     iter_lane_frames,
+    read_camera,
     read_detections,
     read_lane_frames,
+    read_trajectory,
+    write_camera,
     write_detections,
     write_lane_frames,
+    write_trajectory,
 )
 
 REPLACEMENTS = ["x", "", [], [1], {}, None, float("nan"), float("inf"), True, 1.5,
@@ -210,6 +219,49 @@ def test_one_replaced_value_is_refused_or_round_trips(scene, data, suffix):
             _assert_readers_raise_only_schema_errors(path, iter_lane_frames, read_lane_frames)
         else:
             _assert_readers_raise_only_schema_errors(path, iter_detections, read_detections)
+
+
+def _objects(node):
+    """Every JSON object within decoded JSON, `node` included."""
+    if isinstance(node, dict):
+        yield node
+    if isinstance(node, (dict, list)):
+        for child in (node.values() if isinstance(node, dict) else node):
+            yield from _objects(child)
+
+
+# a camera file without the image size reads as the model's default size
+CAMERA_DEFAULTS = {"width": CameraModel.width, "height": CameraModel.height}
+DOCUMENTS = {".trajectory.json": (read_trajectory, write_trajectory, {}),
+             ".camera.json": (read_camera, write_camera, CAMERA_DEFAULTS)}
+
+
+@FUZZ
+@given(data=st.data(), suffix=st.sampled_from(sorted(DOCUMENTS)), add_key=st.booleans())
+def test_trajectory_and_camera_documents_are_refused_or_round_trip(scene, data, suffix, add_key):
+    read, write, defaults = DOCUMENTS[suffix]
+    text = _replace_value(data, _read_text(scene + suffix))
+    if add_key:
+        doc = json.loads(text)
+        objects = list(_objects(doc))
+        if objects:
+            data.draw(st.sampled_from(objects), label="object")[data.draw(
+                st.sampled_from(["extra", "poses", "pose", "fx", "width", "config"]), label="key")] = 1
+        text = json.dumps(doc)
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "document.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            value = read(path)
+        except SchemaError:
+            return
+        written = os.path.join(work, "written.json")
+        write(written, value)
+        got, want = json.loads(_read_text(written)), {**defaults, **json.loads(text)}
+        del got["config"]  # the header config is free-form and not part of the value read
+        want.pop("config", None)
+        assert _same(got, want), (got, want)
 
 
 def _b64(raw: bytes) -> str:

@@ -403,6 +403,29 @@ class TestTrajectoryCamera:
         with pytest.raises(SchemaError, match=message):
             read_trajectory(path)
 
+    # documents the writers never write, each of which the readers once read
+    @pytest.mark.parametrize("kind, edit, message", [
+        ("trajectory", lambda d: d.update(poses=""), "poses must be a JSON array, got str"),
+        ("trajectory", lambda d: d.update(poses={}), "poses must be a JSON array, got dict"),
+        ("trajectory", lambda d: d.update(extra=1), "trajectory has unknown keys ['extra']"),
+        ("trajectory", lambda d: d["poses"][1].update(velocity=[0, 1, 0]),
+         "pose record has unknown keys ['velocity']"),
+        ("camera", lambda d: d.update(k1=0.1), "camera has unknown keys ['k1']"),
+    ], ids=["poses-string", "poses-object", "trajectory-key", "pose-key", "camera-key"])
+    def test_what_the_writers_never_write_is_refused(self, tmp_path, kind, edit, message):
+        path = tmp_path / f"{kind}.json"
+        if kind == "trajectory":
+            write_trajectory(path, Trajectory(np.array([0.0, 1.0]),
+                                              [EgoPose.identity(), EgoPose.from_parts(np.eye(3), [0, 1, 0])]))
+        else:
+            write_camera(path, CameraModel.level_camera())
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as caught:
+            (read_trajectory if kind == "trajectory" else read_camera)(path)
+        assert message in str(caught.value)
+
     def test_camera_round_trip(self, tmp_path):
         path = tmp_path / "cam.json"
         cam = CameraModel.level_camera(height_m=1.4, fx=900.0, width=1920, image_height=1080)

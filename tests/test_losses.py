@@ -343,7 +343,49 @@ class TestFocalLoss:
             focal_classification_loss(np.array([[1.0]]), [0], gamma=-1.0)
 
 
+def loop_parallel_term(pred_points, cfg, samples=100):
+    """The parallelism term as the per-pair loop it was: one weighted variance per adjacent pair."""
+    args = np.linspace(0.0, 1.0, samples)
+    curves = np.einsum("sm,nmc->nsc", basis_matrix(cfg.m, args, order=0).matrix, pred_points)
+    d1 = np.einsum("sm,nmc->nsc", basis_matrix(cfg.m, args, order=1).matrix, pred_points)
+    order = np.argsort(curves[:, :, 0].mean(axis=1), kind="stable")
+    terms = []
+    for a, b in zip(order[:-1], order[1:]):
+        tangent = d1[a, :, :2]
+        norm = np.linalg.norm(tangent, axis=1, keepdims=True)
+        tangent = np.where(norm > 1e-12, tangent / np.maximum(norm, 1e-12), [0.0, 1.0])
+        normal = np.column_stack([tangent[:, 1], -tangent[:, 0]])
+        gap = np.abs(np.sum((curves[b, :, :2] - curves[a, :, :2]) * normal, axis=1))
+        weights = curves[a, :, 3] * curves[b, :, 3]
+        total = weights.sum()
+        if total <= 0:
+            terms.append(0.0)
+            continue
+        mean = (weights * gap).sum() / total
+        terms.append(float((weights * (gap - mean) ** 2).sum() / total))
+    return float(np.mean(terms))
+
+
 class TestSpatialRegularization:
+    @pytest.mark.parametrize("lanes", [1, 2, 3, 20])
+    @pytest.mark.parametrize("samples", [100, 37])
+    def test_parallel_term_equals_pair_loop_bit_for_bit(self, lanes, samples):
+        cfg = CurveConfig(m=20, y_start=3.0, y_end=103.0)
+        rng = np.random.default_rng(39)
+        for trial in range(6):
+            controls = np.stack([
+                control_points_from_columns(cfg, x=3.5 * lane + rng.normal(0.0, 0.5, cfg.m),
+                                            z=rng.normal(0.0, 0.2, cfg.m), v=rng.uniform(0, 1, cfg.m))
+                for lane in range(lanes)])
+            if trial % 2:  # an invisible lane gives its pairs zero weight
+                controls[rng.integers(lanes), :, 3] = 0.0
+            if trial == 4:  # a degenerate tangent: every control point of one lane at one place
+                controls[0, :, :2] = [1.0, 50.0]
+            if trial == 5:  # equal mean x, ordered by the stable sort
+                controls[-1] = controls[0]
+            parallel, _, _ = spatial_regularization(controls, cfg, samples=samples)
+            assert parallel == (loop_parallel_term(controls, cfg, samples=samples) if lanes > 1 else 0.0)
+
     def test_parallel_straight_lanes_zero(self):
         controls = np.stack([straight_lane(CFG, 0.0), straight_lane(CFG, 3.5)])
         parallel, smooth, curv = spatial_regularization(controls, CFG)
@@ -666,6 +708,19 @@ class TestCombinedLoss:
         assert breakdown.temporal == 0.0
         assert breakdown.total == pytest.approx(breakdown.weights.visibility
                                                 * breakdown.visibility, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", [7, 1009])
+    def test_regression_and_visibility_equal_the_standalone_terms(self, seed):
+        cfg = CurveConfig(m=20, y_start=3.0, y_end=103.0)
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            proposals, probs, gts = detector_instance(rng, cfg)
+            matching = assign_proposals(proposals, probs, gts, cfg)
+            breakdown = combined_loss(proposals, probs, gts, cfg)
+            assert breakdown.regression == regression_loss(proposals, gts, matching, cfg)
+            assert breakdown.visibility == visibility_loss(proposals, gts, matching, cfg)
+        empty = combined_loss(proposals, probs, [], cfg)
+        assert (empty.regression, empty.visibility) == (0.0, 0.0)
 
     def test_temporal_term_uses_state(self):
         controls = straight_lane(CFG, 0.0)[None]
