@@ -241,12 +241,17 @@ def cmd_autolabel(args, config: dict) -> int:
     with _naming(config, "station-spacing", "label-range"):  # they set the station count
         tracker = LineTracker(surf, station_spacing=config["station-spacing"], gate=config["gate"],
                               min_hits=config["min-hits"], lead=label_range + 30.0)
+
+    def pose_index(record):  # a detection frame's id, once it is known to index a pose
+        if not 0 <= record[0] < len(traj):
+            raise SchemaError(f"detection frame_id {record[0]!r} is not a pose index of the "
+                              f"{len(traj)}-pose trajectory")
+        return record[0]
+
     # Labels need every frame's detections tracked first; keep only what emission needs.
     frame_times = []
-    for frame_id, timestamp, detections in det_frames:
-        if not 0 <= frame_id < len(traj):
-            raise SchemaError(f"detection frame_id {frame_id!r} is not a pose index of the "
-                              f"{len(traj)}-pose trajectory")
+    for frame_id, timestamp, detections in _ascending(args.detections, det_frames, "autolabel",
+                                                      pose_index):
         tracker.step(lift_detections(detections, cam, traj.poses[frame_id], surf,
                                      near_range=near_range))
         frame_times.append((frame_id, timestamp))
@@ -287,15 +292,16 @@ def _format_table(report: dict) -> str:
     return head + "\n" + body
 
 
-def _ascending(path, lane_frames):
-    """Pass frames on; raise SchemaError at the first whose id does not exceed the last one's."""
+def _ascending(path, records, command: str = "eval", frame_id=lambda frame: frame.frame_id):
+    """Pass records on; raise SchemaError at the first whose id does not exceed the last one's."""
     last = None
-    for frame in lane_frames:
-        if last is not None and frame.frame_id <= last:
-            raise SchemaError(f"{path}: frame ids must strictly ascend for eval, "
-                              f"got {frame.frame_id} after {last}")
-        last = frame.frame_id
-        yield frame
+    for record in records:
+        current = frame_id(record)
+        if last is not None and current <= last:
+            raise SchemaError(f"{path}: frame ids must strictly ascend for {command}, "
+                              f"got {current} after {last}")
+        last = current
+        yield record
 
 
 def _pairs_in_order(pred_path, gt_path):

@@ -27,16 +27,26 @@ Lane and detection files are read one frame at a time:
 return it with an iterator that parses and validates one record per
 step, so a caller that does not keep frames holds one frame in memory
 whatever the file's length.  `frame_id` is an int in both formats;
-`lanekit synth` writes ids in ascending order and `autolabel` and
-`spline` keep their input's order.  `lanekit eval` pairs prediction
-and ground-truth frames by id and needs strictly ascending ids in both
-files: it walks them together, holding about one frame of each, and
-rejects an id that does not exceed the one before it.  These readers
-accept any order.  Writers take iterables,
-so they too hold one record at a time, and every writer writes
-`<path>.tmp` beside the target and renames it over the target only when
-the whole file is written: a failed write leaves neither a partial
-output nor the temporary file.
+`lanekit synth` writes ids in ascending order and `spline` keeps its
+input's order.  `lanekit autolabel` needs strictly ascending detection
+ids, so it tracks each frame once and writes its labels in that order.
+`lanekit eval` pairs prediction and ground-truth frames by id and needs
+strictly ascending ids in both files: it walks them together, holding
+about one frame of each.  Both commands reject an id that does not
+exceed the one before it.  These readers accept any order.  Writers
+take iterables, so they too hold one record at a time, and every writer
+writes `<path>.tmp` beside the target and renames it over the target
+only when the whole file is written: a failed write leaves neither a
+partial output nor the temporary file.
+
+There are two file shapes: JSON Lines (lane frames and detections), a
+header line and then one record per line, and single JSON documents
+(trajectory and camera), whose header keys sit beside the body's.  Each
+shape has one writer, `_write_jsonl` or `_write_json`, which puts in
+the header that `_header` builds, and one reader, `_jsonl_records` or
+`_read_json`, which checks the header and reports whatever a record's
+or document's parser rejects as one "malformed <name>" error with the
+path, and for JSON Lines the line number.
 """
 
 from __future__ import annotations
@@ -215,36 +225,33 @@ def _frame_to_dict(frame: LaneFrame) -> dict:
     return d
 
 
+def _stamps(record, keys: set, name: str) -> tuple:
+    """(frame_id, timestamp_s) of a line-format record that is a JSON object with no key but `keys`."""
+    _object(record, keys, name)
+    return _int(record["frame_id"], "frame_id"), _finite(record["timestamp_s"], "timestamp_s")
+
+
 def _frame_from_dict(d: dict) -> LaneFrame:
-    try:
-        _object(d, {"frame_id", "timestamp_s", "ego_pose", "lanes", "camera"}, "lane frame")
-        frame_id = _int(d["frame_id"], "frame_id")
-        timestamp_s = _finite(d["timestamp_s"], "timestamp_s")
-        pose = EgoPose(_finite_matrix(d["ego_pose"], "ego_pose"))
-        lanes = [Lane(lane_id=_int(_object(l, {"id", "category", "points"}, "lane")["id"], "lane id"),
-                      category=_int(l["category"], "lane category"),
-                      points=_lane_points(l["points"], f"frame {frame_id} lane {l['id']}"))
-                 for l in _array(d["lanes"], "lanes")]
-        camera = None
-        if "camera" in d:
-            camera = _camera_from_dict(_object(d["camera"], _CAMERA_KEYS, "camera"))
-        return LaneFrame(frame_id=frame_id, timestamp_s=timestamp_s,
-                         pose=pose, lanes=lanes, camera=camera)
-    except _MALFORMED as exc:
-        raise SchemaError(f"malformed lane frame: {exc}") from exc
+    frame_id, timestamp_s = _stamps(d, {"frame_id", "timestamp_s", "ego_pose", "lanes", "camera"},
+                                    "lane frame")
+    pose = EgoPose(_finite_matrix(d["ego_pose"], "ego_pose"))
+    lanes = [Lane(lane_id=_int(_object(l, {"id", "category", "points"}, "lane")["id"], "lane id"),
+                  category=_int(l["category"], "lane category"),
+                  points=_lane_points(l["points"], f"frame {frame_id} lane {l['id']}"))
+             for l in _array(d["lanes"], "lanes")]
+    camera = None
+    if "camera" in d:
+        camera = _camera_from_dict(_object(d["camera"], _CAMERA_KEYS, "camera"))
+    return LaneFrame(frame_id=frame_id, timestamp_s=timestamp_s,
+                     pose=pose, lanes=lanes, camera=camera)
 
 
 def _detection_frame_from_dict(r: dict):
-    try:
-        _object(r, {"frame_id", "timestamp_s", "detections"}, "detection record")
-        frame_id = _int(r["frame_id"], "frame_id")
-        timestamp_s = _finite(r["timestamp_s"], "timestamp_s")
-        dets = [(_decode_points(_object(d, {"points", "category"}, "detection")["points"], 2),
-                 _int(d["category"], "detection category"))
-                for d in _array(r["detections"], "detections")]
-        return frame_id, timestamp_s, dets
-    except _MALFORMED as exc:
-        raise SchemaError(f"malformed detection record: {exc}") from exc
+    frame_id, timestamp_s = _stamps(r, {"frame_id", "timestamp_s", "detections"}, "detection record")
+    dets = [(_decode_points(_object(d, {"points", "category"}, "detection")["points"], 2),
+             _int(d["category"], "detection category"))
+            for d in _array(r["detections"], "detections")]
+    return frame_id, timestamp_s, dets
 
 
 def _write_lines(path, lines) -> None:
@@ -266,9 +273,16 @@ def _write_lines(path, lines) -> None:
         raise
 
 
-def _write_jsonl(path, kind: str, config: dict, records) -> None:
-    header = {"schema_version": SCHEMA_VERSIONS[kind], "kind": kind, "config": config}
-    _write_lines(path, map(_dump, itertools.chain([header], records)))
+def _header(kind: str, config: dict | None) -> dict:
+    return {"schema_version": SCHEMA_VERSIONS[kind], "kind": kind, "config": config or {}}
+
+
+def _write_jsonl(path, kind: str, config: dict | None, records) -> None:
+    _write_lines(path, map(_dump, itertools.chain([_header(kind, config)], records)))
+
+
+def _write_json(path, kind: str, config: dict | None, body: dict) -> None:
+    _write_lines(path, [_dump({**_header(kind, config), **body})])
 
 
 def _check_document(path, doc, kind: str) -> None:
@@ -282,12 +296,12 @@ def _check_document(path, doc, kind: str) -> None:
                           f"!= {SCHEMA_VERSIONS[kind]}")
 
 
-def _jsonl_records(path, kind: str, parse):
+def _jsonl_records(path, kind: str, parse, name: str):
     """Yield the checked header, then `parse` of each non-blank line's decoded JSON value.
 
     Lines are read as bytes and decoded one at a time, so text that is
     not UTF-8 is reported at its own line, and so is a record that
-    `parse` rejects.
+    `parse` rejects, as a malformed `name`.
     """
     with open(path, "rb") as fh:
         first = fh.readline()
@@ -309,19 +323,19 @@ def _jsonl_records(path, kind: str, parse):
                 raise SchemaError(f"{path}:{lineno}: malformed record: {exc}") from exc
             try:
                 parsed = parse(record)
-            except SchemaError as exc:
-                raise SchemaError(f"{path}:{lineno}: {exc}") from exc
+            except _MALFORMED as exc:
+                raise SchemaError(f"{path}:{lineno}: malformed {name}: {exc}") from exc
             yield parsed
 
 
-def _iter_jsonl(path, kind: str, parse):
-    records = _jsonl_records(path, kind, parse)
+def _iter_jsonl(path, kind: str, parse, name: str):
+    records = _jsonl_records(path, kind, parse, name)
     header = next(records)
     return header, records
 
 
 def write_lane_frames(path, frames, config: dict | None = None) -> None:
-    _write_jsonl(path, "lane_frames", config or {}, (_frame_to_dict(f) for f in frames))
+    _write_jsonl(path, "lane_frames", config, (_frame_to_dict(f) for f in frames))
 
 
 def iter_lane_frames(path):
@@ -330,7 +344,7 @@ def iter_lane_frames(path):
     The iterator reads, parses and validates one frame per step and
     raises SchemaError at the first malformed line or frame.
     """
-    return _iter_jsonl(path, "lane_frames", _frame_from_dict)
+    return _iter_jsonl(path, "lane_frames", _frame_from_dict, "lane frame")
 
 
 def read_lane_frames(path):
@@ -350,12 +364,12 @@ def write_detections(path, frames, config: dict | None = None) -> None:
                     for px, category in detections
                 ],
             }
-    _write_jsonl(path, "detections_2d", config or {}, records())
+    _write_jsonl(path, "detections_2d", config, records())
 
 
 def iter_detections(path):
     """(header, iterator of (frame_id, timestamp_s, [(pixels, category), ...])), one frame per step."""
-    return _iter_jsonl(path, "detections_2d", _detection_frame_from_dict)
+    return _iter_jsonl(path, "detections_2d", _detection_frame_from_dict, "detection record")
 
 
 def read_detections(path):
@@ -364,52 +378,46 @@ def read_detections(path):
 
 
 def write_trajectory(path, traj: Trajectory, config: dict | None = None) -> None:
-    doc = {
-        "schema_version": SCHEMA_VERSIONS["trajectory"],
-        "kind": "trajectory",
-        "config": config or {},
-        "poses": [
-            {"timestamp_s": float(t), "pose": np.asarray(p.matrix).ravel().tolist()}
-            for t, p in zip(traj.timestamps, traj.poses)
-        ],
-    }
-    _write_lines(path, [_dump(doc)])
+    _write_json(path, "trajectory", config, {"poses": [
+        {"timestamp_s": float(t), "pose": np.asarray(p.matrix).ravel().tolist()}
+        for t, p in zip(traj.timestamps, traj.poses)
+    ]})
+
+
+def _trajectory_from_dict(doc: dict) -> Trajectory:
+    records = [_object(p, {"timestamp_s", "pose"}, "pose record")
+               for p in _array(_object(doc, _HEADER_KEYS | {"poses"}, "trajectory")["poses"], "poses")]
+    stamps = [_finite(p["timestamp_s"], "timestamp_s") for p in records]
+    poses = [EgoPose(_finite_matrix(p["pose"], "pose")) for p in records]
+    return Trajectory(np.array(stamps, dtype=float), poses)
 
 
 def read_trajectory(path) -> Trajectory:
-    doc = _read_json(path, "trajectory")
-    try:
-        records = [_object(p, {"timestamp_s", "pose"}, "pose record")
-                   for p in _array(_object(doc, _HEADER_KEYS | {"poses"}, "trajectory")["poses"], "poses")]
-        stamps = [_finite(p["timestamp_s"], "timestamp_s") for p in records]
-        poses = [EgoPose(_finite_matrix(p["pose"], "pose")) for p in records]
-        return Trajectory(np.array(stamps, dtype=float), poses)
-    except _MALFORMED as exc:
-        raise SchemaError(f"{path}: malformed trajectory: {exc}") from exc
+    return _read_json(path, "trajectory", _trajectory_from_dict, "trajectory")
 
 
 def write_camera(path, cam: CameraModel, config: dict | None = None) -> None:
-    doc = {"schema_version": SCHEMA_VERSIONS["camera"], "kind": "camera", "config": config or {}}
-    doc.update(_camera_to_dict(cam))
-    _write_lines(path, [_dump(doc)])
+    _write_json(path, "camera", config, _camera_to_dict(cam))
 
 
 def read_camera(path) -> CameraModel:
-    doc = _read_json(path, "camera")
-    try:
-        return _camera_from_dict(_object(doc, _HEADER_KEYS | _CAMERA_KEYS, "camera"))
-    except _MALFORMED as exc:
-        raise SchemaError(f"{path}: malformed camera file: {exc}") from exc
+    return _read_json(path, "camera", lambda doc: _camera_from_dict(
+        _object(doc, _HEADER_KEYS | _CAMERA_KEYS, "camera")), "camera file")
 
 
-def _read_json(path, kind: str) -> dict:
+def _read_json(path, kind: str, parse, name: str):
+    """`parse` of the checked JSON document at `path`; a document that `parse`
+    rejects is reported as a malformed `name`."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:  # JSONDecodeError, or text that is not UTF-8
             raise SchemaError(f"{path}: malformed JSON: {exc}") from exc
     _check_document(path, doc, kind)
-    return doc
+    try:
+        return parse(doc)
+    except _MALFORMED as exc:
+        raise SchemaError(f"{path}: malformed {name}: {exc}") from exc
 
 
 def write_json_report(path, report: dict) -> None:

@@ -352,6 +352,28 @@ class TestAutolabelCommand:
         assert "frame_id" in json.loads(capsys.readouterr().err)["error"]
         assert not (tmp_path / "labels.jsonl").exists()
 
+    # a repeated frame would be tracked twice and labelled twice; a swapped pair, out of order
+    @pytest.mark.parametrize("order, got", [
+        ([*range(6), *range(5, 20)], "5 after 5"),
+        ([*range(5), 6, 5, *range(7, 20)], "5 after 6"),
+    ], ids=["repeated-frame", "swapped-frames"])
+    def test_detection_ids_that_do_not_ascend_rejected(self, tmp_path, capsys, order, got):
+        run_synth(tmp_path, frames=20)
+        dets_path = tmp_path / "scene.detections.jsonl"
+        dets, header = read_detections(dets_path)
+        write_detections(dets_path, [dets[i] for i in order], header["config"])
+        code = main([
+            "autolabel",
+            "--trajectory", str(tmp_path / "scene.trajectory.json"),
+            "--camera", str(tmp_path / "scene.camera.json"),
+            "--detections", str(dets_path),
+            "--out", str(tmp_path / "labels.jsonl"),
+        ])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == (
+            f"{dets_path}: frame ids must strictly ascend for autolabel, got {got}")
+        assert not (tmp_path / "labels.jsonl").exists()
+
 
 class TestMasksCommand:
     def test_reference_config_active_fraction(self, tmp_path, capsys):

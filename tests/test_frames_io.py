@@ -462,6 +462,28 @@ class TestTrajectoryCamera:
         assert str(caught.value) == f"{path}: malformed camera file: {message}"
 
 
+@pytest.mark.parametrize("config", [None, {}, {"seed": 3}], ids=["none", "empty", "seed"])
+def test_every_writer_writes_one_header(tmp_path, config):
+    """A line format's first line, and a single document's header keys, are the canonical
+    {schema_version, kind, config}, with a config of None written as {}."""
+    traj = Trajectory(np.array([0.0, 0.1]),
+                      [EgoPose.identity(), EgoPose.from_parts(np.eye(3), [0, 1, 0])])
+    writers = {
+        "lane_frames": lambda path: write_lane_frames(path, sample_frames(), config),
+        "detections_2d": lambda path: write_detections(path, [(0, 0.0, [(np.ones((2, 2)), 1)])], config),
+        "trajectory": lambda path: write_trajectory(path, traj, config),
+        "camera": lambda path: write_camera(path, CameraModel.level_camera(), config),
+    }
+    for kind, write in writers.items():
+        write(tmp_path / kind)
+        header = {"schema_version": SCHEMA_VERSIONS[kind], "kind": kind,
+                  "config": {} if config is None else config}
+        first = (tmp_path / kind).read_bytes().split(b"\n")[0]
+        if kind in ("trajectory", "camera"):
+            first = _dump({key: json.loads(first)[key] for key in header}).encode()
+        assert first == _dump(header).encode(), kind
+
+
 # JSON documents: ints past 2**63, floats including -0.0, subnormals, NaN and infinities, unicode
 JSON_DOCUMENTS = st.recursive(
     st.none() | st.booleans() | st.integers() | st.integers(2**63 - 2, 2**80)
